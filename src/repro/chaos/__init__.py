@@ -18,7 +18,6 @@ attached.
 
 from repro.chaos.harness import (
     BASELINE,
-    POLICY_FACTORIES,
     ChaosScorecard,
     run_matrix,
     score_run,
@@ -45,7 +44,6 @@ from repro.chaos.spec import (
 __all__ = [
     "BASELINE",
     "BUILTIN_SCENARIOS",
-    "POLICY_FACTORIES",
     "CapacityBlackout",
     "ChaosInjector",
     "ChaosScorecard",

@@ -34,27 +34,21 @@ import json
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.chaos.overlay import compile_scenario
 from repro.chaos.spec import ScenarioSpec
 from repro.cloud.traces import SpotTrace
-from repro.core import (
-    OnDemandOnlyPolicy,
-    even_spread_policy,
-    round_robin_policy,
-    spothedge,
-)
 from repro.experiments.replay import ReplayConfig, ReplayResult, TraceReplayer
 from repro.experiments.results import ReplayCache
 from repro.experiments.sweep import grid_sweep
+from repro.serving.registry import POLICIES
 from repro.telemetry.events import EventBus
 
 __all__ = [
     "BASELINE",
-    "POLICY_FACTORIES",
     "ChaosScorecard",
     "run_matrix",
     "score_run",
@@ -62,14 +56,6 @@ __all__ = [
 
 #: Reserved scenario name for the fault-free reference runs.
 BASELINE = "baseline"
-
-#: Replay policy factories by harness name (the ``repro sweep`` names).
-POLICY_FACTORIES: dict[str, Callable[..., Any]] = {
-    "SpotHedge": spothedge,
-    "RoundRobin": round_robin_policy,
-    "EvenSpread": even_spread_policy,
-    "OnDemand": OnDemandOnlyPolicy,
-}
 
 
 def _matrix_point(
@@ -114,7 +100,7 @@ def _matrix_point(
         zone_price_factors=prices,
         engine=engine,
     )
-    result = replayer.run(POLICY_FACTORIES[policy](effective.zone_ids))
+    result = replayer.run(POLICIES.get(policy)(effective.zone_ids))
     if cache is not None:
         cache.put(key, result)
     return result
@@ -280,12 +266,8 @@ def run_matrix(
         raise ValueError(f"scenario name {BASELINE!r} is reserved")
     if not policies:
         raise ValueError("no policies to run")
-    unknown = sorted(set(policies) - set(POLICY_FACTORIES))
-    if unknown:
-        raise ValueError(
-            f"unknown policies {unknown}: expected a subset of "
-            f"{sorted(POLICY_FACTORIES)}"
-        )
+    for policy in policies:
+        POLICIES.validate(policy)
     by_name = {s.name: s for s in scenarios}
     grid: dict[str, Sequence[Any]] = {
         "scenario": [BASELINE] + names,

@@ -64,12 +64,7 @@ from typing import Callable, Optional, Sequence
 from repro.analysis import availability_by_search_space, preemption_correlation
 from repro.cloud import HOUR, SpotTrace, aws1, aws2, aws3, cpu_trace, default_catalog, gcp1
 from repro.cloud.trace_io import save_capacity_csv
-from repro.core import (
-    OnDemandOnlyPolicy,
-    even_spread_policy,
-    round_robin_policy,
-    spothedge,
-)
+from repro.core import spothedge
 from repro.experiments import (
     ENGINES,
     FLEETS,
@@ -83,13 +78,7 @@ from repro.experiments import (
     run_comparison,
     run_frontier,
 )
-from repro.serving import (
-    ServiceSpec,
-    SkyService,
-    llama2_70b_profile,
-    opt_6_7b_profile,
-    vicuna_13b_profile,
-)
+from repro.serving import MODEL_PROFILES, POLICIES, ServiceSpec, SkyService
 from repro.telemetry import (
     EventBus,
     JsonlSink,
@@ -98,7 +87,7 @@ from repro.telemetry import (
     format_summary,
     read_events,
 )
-from repro.workloads import arena_workload, maf_workload, poisson_workload
+from repro.workloads import WORKLOAD_KINDS, arena_workload, make_workload
 
 __all__ = ["build_parser", "main"]
 
@@ -110,11 +99,8 @@ _CANNED_TRACES: dict[str, Callable[[], SpotTrace]] = {
     "cpu": cpu_trace,
 }
 
-_PROFILES = {
-    "llama2-70b": llama2_70b_profile,
-    "opt-6.7b": opt_6_7b_profile,
-    "vicuna-13b": vicuna_13b_profile,
-}
+#: ``repro replay``'s default policy list, in the paper's Fig. 14 order.
+_REPLAY_DEFAULT = "SpotHedge,RoundRobin,EvenSpread,OnDemand"
 
 
 def _load_trace(spec: str) -> SpotTrace:
@@ -137,16 +123,12 @@ def _load_trace(spec: str) -> SpotTrace:
     raise SystemExit(f"unsupported trace file type {path.suffix!r}")
 
 
-def _make_workload(kind: str, duration: float, rate: float, seed: int):
-    if kind == "poisson":
-        return poisson_workload(duration, rate=rate, seed=seed)
-    if kind == "arena":
-        return arena_workload(
-            duration, base_rate=rate, max_output_tokens=800, seed=seed
-        )
-    if kind == "maf":
-        return maf_workload(duration, base_rate=rate, seed=seed)
-    raise SystemExit(f"unknown workload {kind!r}")
+def _policy_factory(name: str) -> Callable:
+    """The registered serving-policy factory for a CLI policy name."""
+    try:
+        return POLICIES.get(name)
+    except ValueError as exc:
+        raise SystemExit(str(exc))
 
 
 def _print_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -183,7 +165,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_queue_per_replica=args.max_queue,
         )
     duration = args.hours * HOUR
-    workload = _make_workload(args.workload, duration, args.rate, args.seed)
+    workload = make_workload(args.workload, duration, args.rate, args.seed)
     policy = spothedge(trace.zone_ids, num_overprovision=args.overprovision)
     telemetry = None
     jsonl_sink = None
@@ -199,7 +181,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         if args.metrics_out:
             prom_sink = PrometheusSnapshot()
             telemetry.attach(prom_sink)
-    profile = _PROFILES[args.profile]()
+    profile = MODEL_PROFILES[args.profile]()
     if args.batch_slope:
         profile = dataclasses.replace(profile, decode_batch_slope=args.batch_slope)
     service = SkyService(
@@ -385,11 +367,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     policies = _parse_axis(args.policies, str, "--policies")
-    for name in policies:
-        if name not in _REPLAY_POLICIES:
-            raise SystemExit(
-                f"unknown policy {name!r}: expected one of {sorted(_REPLAY_POLICIES)}"
-            )
+    factories = {name: _policy_factory(name) for name in policies}
     if args.events and len(policies) != 1:
         raise SystemExit(
             "--events records one replay: select a single policy with "
@@ -397,8 +375,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         )
     rows = []
     raw_results = {}
-    for name in policies:
-        factory = _REPLAY_POLICIES[name]
+    for name, factory in factories.items():
         telemetry = None
         jsonl_sink = None
         if args.events:
@@ -442,15 +419,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Replay policy factories by CLI name (shared by replay and sweep).
-_REPLAY_POLICIES: dict[str, Callable] = {
-    "SpotHedge": spothedge,
-    "RoundRobin": round_robin_policy,
-    "EvenSpread": even_spread_policy,
-    "OnDemand": OnDemandOnlyPolicy,
-}
-
-
 def _sweep_point(
     trace: SpotTrace,
     use_cache: bool,
@@ -476,10 +444,18 @@ def _sweep_point(
         if hit is not None:
             return hit
     replayer = TraceReplayer(trace, config, seed=seed, engine=engine)
-    result = replayer.run(_REPLAY_POLICIES[policy](trace.zone_ids))
+    result = replayer.run(POLICIES.get(policy)(trace.zone_ids))
     if cache is not None:
         cache.put(key, result)
     return result
+
+
+class _Progress:
+    """Per-point progress lines on stderr for ``--progress``."""
+
+    def accept(self, event):
+        status = "ok" if event.ok else "ERROR"
+        print(f"[{event.index + 1}/{event.total}] {event.label} {status}", file=sys.stderr)
 
 
 def _parse_axis(raw: str, cast: Callable, option: str) -> list:
@@ -498,10 +474,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     policies = _parse_axis(args.policies, str, "--policies")
     for name in policies:
-        if name not in _REPLAY_POLICIES:
-            raise SystemExit(
-                f"unknown policy {name!r}: expected one of {sorted(_REPLAY_POLICIES)}"
-            )
+        _policy_factory(name)
     grid = {
         "policy": policies,
         "n_tar": _parse_axis(args.n_tar, int, "--n-tar"),
@@ -510,15 +483,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     }
     use_cache = not args.no_cache
     entries_before = len(cache) if use_cache else 0
-    telemetry = None
-    if args.progress:
-        class _Progress:
-            def accept(self, event):
-                status = "ok" if event.ok else "ERROR"
-                print(f"[{event.index + 1}/{event.total}] {event.label} {status}",
-                      file=sys.stderr)
-
-        telemetry = EventBus([_Progress()])
+    telemetry = EventBus([_Progress()]) if args.progress else None
     import functools
 
     points = grid_sweep(
@@ -691,11 +656,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
         # Seeded in-memory replay: deterministic, so the artifact is
         # byte-identical across invocations of the same command line.
         trace = _load_trace(args.trace)
-        if args.policy not in _REPLAY_POLICIES:
-            raise SystemExit(
-                f"unknown policy {args.policy!r}: expected one of "
-                f"{sorted(_REPLAY_POLICIES)}"
-            )
+        factory = _policy_factory(args.policy)
         sink = RingBufferSink()
         replayer = TraceReplayer(
             trace,
@@ -703,7 +664,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             seed=args.seed,
             telemetry=EventBus([sink]),
         )
-        replayer.run(_REPLAY_POLICIES[args.policy](trace.zone_ids))
+        replayer.run(factory(trace.zone_ids))
         events = sink.events
         marker = sink.drop_event()
         if marker is not None:
@@ -770,15 +731,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
         raise SystemExit(str(exc))
     policies = _parse_axis(args.policies, str, "--policies")
     config = ReplayConfig(n_tar=args.target, cold_start=args.cold_start, k=args.k)
-    telemetry = None
-    if args.progress:
-        class _Progress:
-            def accept(self, event):
-                status = "ok" if event.ok else "ERROR"
-                print(f"[{event.index + 1}/{event.total}] {event.label} {status}",
-                      file=sys.stderr)
-
-        telemetry = EventBus([_Progress()])
+    telemetry = EventBus([_Progress()]) if args.progress else None
     try:
         scorecard = run_matrix(
             trace,
@@ -849,14 +802,13 @@ def build_parser() -> argparse.ArgumentParser:
     serve = sub.add_parser("serve", help="deploy one service and serve a workload")
     serve.add_argument("--trace", default="aws1", help="canned name or trace file")
     serve.add_argument("--spec", help="service spec JSON file (Listing 1 shape)")
-    serve.add_argument("--workload", default="arena",
-                       choices=["poisson", "arena", "maf"])
+    serve.add_argument("--workload", default="arena", choices=WORKLOAD_KINDS)
     serve.add_argument("--rate", type=float, default=0.5, help="base req/s")
     serve.add_argument("--hours", type=float, default=2.0)
     serve.add_argument("--target", type=int, default=4, help="N_Tar")
     serve.add_argument("--overprovision", type=int, default=2, help="N_Extra")
     serve.add_argument("--accelerator", default="V100")
-    serve.add_argument("--profile", default="llama2-70b", choices=sorted(_PROFILES))
+    serve.add_argument("--profile", default="llama2-70b", choices=sorted(MODEL_PROFILES))
     serve.add_argument("--timeout", type=float, default=100.0)
     serve.add_argument("--batch-slope", type=float, default=0.0,
                        help="per-stream decode slowdown per extra co-resident "
@@ -910,9 +862,9 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--k", type=float, default=4.0,
                         help="on-demand/spot price ratio")
     replay.add_argument("--seed", type=int, default=0)
-    replay.add_argument("--policies", default=",".join(_REPLAY_POLICIES),
-                        help="comma list of replay policies "
-                             f"({','.join(_REPLAY_POLICIES)})")
+    replay.add_argument("--policies", default=_REPLAY_DEFAULT,
+                        help="comma list of serving policies "
+                             f"({','.join(POLICIES.names())})")
     replay.add_argument("--events",
                         help="write telemetry events to this JSONL file "
                              "(single policy only)")
@@ -929,8 +881,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep.add_argument("--trace", default="gcp1", help="canned name or trace file")
     sweep.add_argument("--policies", default="SpotHedge",
-                       help="comma list of replay policies "
-                            f"({','.join(_REPLAY_POLICIES)})")
+                       help="comma list of serving policies "
+                            f"({','.join(POLICIES.names())})")
     sweep.add_argument("--n-tar", default="4", help="comma list of N_Tar values")
     sweep.add_argument("--cold-start", default="180",
                        help="comma list of cold-start seconds")
@@ -1045,8 +997,8 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument("--scenarios", default="preemption-storm",
                            help="comma list of bundled names or scenario files")
     chaos_run.add_argument("--policies", default="SpotHedge,EvenSpread",
-                           help="comma list of replay policies "
-                                f"({','.join(_REPLAY_POLICIES)})")
+                           help="comma list of serving policies "
+                                f"({','.join(POLICIES.names())})")
     chaos_run.add_argument("--target", type=int, default=4, help="N_Tar")
     chaos_run.add_argument("--cold-start", type=float, default=180.0,
                            help="cold-start seconds")

@@ -12,7 +12,6 @@ from repro.control.broker import CapacityBroker, SharedBillingMeter, TenantCloud
 from repro.control.plane import ControlPlane, FleetReport, TenantReport
 from repro.control.spec import (
     ADMISSION_MODES,
-    TENANT_POLICIES,
     DeploymentSpec,
     TenantSpec,
     load_deployment,
@@ -20,7 +19,6 @@ from repro.control.spec import (
 
 __all__ = [
     "ADMISSION_MODES",
-    "TENANT_POLICIES",
     "AblationResult",
     "CapacityBroker",
     "ControlPlane",

@@ -26,48 +26,29 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.cloud.catalog import Catalog
-from repro.cloud.network import NetworkModel, default_network
-from repro.cloud.provider import CloudConfig, SimCloud
+from repro.cloud.gpus import is_pool, pool_zone
+from repro.cloud.network import NetworkModel
+from repro.cloud.provider import CloudConfig
 from repro.cloud.topology import Topology
 from repro.cloud.traces import SpotTrace
 from repro.control.broker import CapacityBroker
 from repro.control.spec import DeploymentSpec, TenantSpec
-from repro.core import (
-    OnDemandOnlyPolicy,
-    even_spread_policy,
-    round_robin_policy,
-    spothedge,
-)
 from repro.serving.client import ServiceClient
 from repro.serving.controller import ServiceController
-from repro.serving.inference import (
-    llama2_70b_profile,
-    opt_6_7b_profile,
-    vicuna_13b_profile,
-)
-from repro.serving.policy import ServingPolicy
-from repro.sim.engine import SimulationEngine
-from repro.sim.rng import RngRegistry, derive_seed
+from repro.serving.inference import MODEL_PROFILES
+from repro.serving.registry import POLICIES
+from repro.serving.service import _ServiceStack
+from repro.sim.rng import derive_seed
 from repro.telemetry.events import EventBus, TenantCostSnapshot
-from repro.workloads import arena_workload, maf_workload, poisson_workload
+from repro.workloads.generators import make_workload
 from repro.workloads.request import Workload
-
-if TYPE_CHECKING:
-    from repro.chaos.injector import ChaosInjector
-    from repro.chaos.overlay import CompiledScenario
 
 __all__ = ["ControlPlane", "FleetReport", "TenantReport", "REPORT_SCHEMA"]
 
 REPORT_SCHEMA = "repro.control/v1"
-
-_PROFILES = {
-    "llama2-70b": llama2_70b_profile,
-    "opt-6.7b": opt_6_7b_profile,
-    "vicuna-13b": vicuna_13b_profile,
-}
 
 
 def _round(value: float, digits: int = 6) -> float:
@@ -75,38 +56,12 @@ def _round(value: float, digits: int = 6) -> float:
     return round(float(value), digits) + 0.0
 
 
-def make_tenant_policy(tenant: TenantSpec, zones: list[str]) -> ServingPolicy:
-    """Instantiate a tenant's serving policy over its allowed zones."""
-    rp = tenant.service.replica_policy
-    if tenant.policy == "SpotHedge":
-        return spothedge(
-            zones,
-            num_overprovision=rp.num_overprovision,
-            base_ondemand_replicas=rp.base_ondemand_fallback_replicas,
-        )
-    if tenant.policy == "EvenSpread":
-        return even_spread_policy(zones)
-    if tenant.policy == "RoundRobin":
-        return round_robin_policy(zones)
-    if tenant.policy == "OnDemand":
-        return OnDemandOnlyPolicy(zones)
-    raise ValueError(f"unknown tenant policy {tenant.policy!r}")
-
-
 def make_tenant_workload(
     tenant: TenantSpec, duration: float, root_seed: int
 ) -> Workload:
     """Generate a tenant's workload, seeded per tenant from the root."""
     seed = derive_seed(root_seed, f"workload:{tenant.name}")
-    if tenant.workload == "poisson":
-        return poisson_workload(duration, rate=tenant.rate, seed=seed)
-    if tenant.workload == "arena":
-        return arena_workload(
-            duration, base_rate=tenant.rate, max_output_tokens=800, seed=seed
-        )
-    if tenant.workload == "maf":
-        return maf_workload(duration, base_rate=tenant.rate, seed=seed)
-    raise ValueError(f"unknown workload {tenant.workload!r}")
+    return make_workload(tenant.workload, duration, tenant.rate, seed)
 
 
 @dataclass(frozen=True)
@@ -222,7 +177,7 @@ class FleetReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-class ControlPlane:
+class ControlPlane(_ServiceStack):
     """Run a deployment's tenants against one shared simulated cloud."""
 
     def __init__(
@@ -238,78 +193,62 @@ class ControlPlane:
         seed: int = 0,
         telemetry: Optional[EventBus] = None,
     ) -> None:
-        self.deployment = deployment
-        self.seed = seed
-        self.client_region = client_region
-        self.rng = RngRegistry(seed)
-        self.engine = SimulationEngine(telemetry=telemetry)
-        self.telemetry = self.engine.telemetry
-        self._compiled: Optional["CompiledScenario"] = None
+        scenario = None
         if deployment.scenario is not None:
             # Chaos arms against the shared cloud: every tenant feels it.
             from repro.chaos import load_scenario
-            from repro.chaos.overlay import compile_scenario
 
-            scenario_spec = load_scenario(deployment.scenario)
-            self._compiled = compile_scenario(scenario_spec, trace, root_seed=seed)
-            trace = self._compiled.trace
-        self.trace = trace
-        self.network = network or default_network()
-        if self._compiled is not None and self._compiled.network_degradations:
-            from repro.chaos.injector import DegradedNetworkModel
-
-            self.network = DegradedNetworkModel(
-                self.network, self.engine, self._compiled.network_degradations
-            )
-        self.cloud = SimCloud(
-            self.engine,
-            trace,
-            topology=topology,
-            catalog=catalog,
-            config=cloud_config,
-            rng=self.rng,
+            scenario = load_scenario(deployment.scenario)
+        super().__init__(
+            trace, seed=seed, telemetry=telemetry, scenario=scenario, network=network,
+            topology=topology, catalog=catalog, cloud_config=cloud_config,
         )
+        self.deployment = deployment
+        self.client_region = client_region
         self.broker = CapacityBroker(
-            self.cloud,
-            deployment.tenants,
-            mode=deployment.admission,
-            rng=self.rng,
+            self.cloud, deployment.tenants, mode=deployment.admission, rng=self.rng,
             bus=self.telemetry,
         )
         self.controllers: dict[str, ServiceController] = {}
         self.clients: dict[str, ServiceClient] = {}
         single = len(deployment.tenants) == 1
         for tenant in deployment.tenants:
-            allowed = tenant.service.resources.allowed_zones(self.cloud.topology)
-            spot_zones = [z.id for z in allowed if z.id in trace.zone_ids]
-            policy_zones = spot_zones or [z.id for z in allowed]
-            if not policy_zones:
-                raise ValueError(
-                    f"tenant {tenant.name!r} allows no zones in this topology"
-                )
-            policy = make_tenant_policy(tenant, policy_zones)
-            # Single-tenant deployments use the SkyService stream name,
-            # which is what makes N=1 reproduce SkyService bit for bit.
-            stream = "inference" if single else f"inference:{tenant.name}"
-            self.controllers[tenant.name] = ServiceController(
-                self.engine,
-                self.broker.view(tenant.name),
-                tenant.service,
-                policy,
-                _PROFILES[tenant.profile](),
-                network=self.network,
-                rng=self.rng.stream(stream),
+            policy = POLICIES.get(tenant.policy)(
+                self._policy_zones(tenant), tenant.service.replica_policy
+            )
+            self.controllers[tenant.name] = self._controller(
+                self.broker.view(tenant.name), tenant.service, policy,
+                MODEL_PROFILES[tenant.profile](),
+                # Single-tenant deployments use the SkyService stream
+                # name, which makes N=1 reproduce SkyService bit for bit.
+                stream="inference" if single else f"inference:{tenant.name}",
                 client_region=client_region,
             )
-        self.injector: Optional["ChaosInjector"] = None
-        if self._compiled is not None:
-            from repro.chaos.injector import ChaosInjector
-
-            self.injector = ChaosInjector(
-                self._compiled, self.engine, self.cloud, root_seed=seed
-            )
-            self.injector.arm()
+        self._arm()
         self._ran_for: Optional[float] = None
+
+    def _policy_zones(self, tenant: TenantSpec) -> list[str]:
+        """The zones a tenant's policy places over: its allowed zones
+        the trace covers, or every allowed zone (on-demand only) when the
+        trace covers none."""
+        allowed = tenant.service.resources.allowed_zones(self.cloud.topology)
+        allowed_ids = {z.id for z in allowed}
+        pools = [
+            z for z in self.trace.zone_ids if is_pool(z) and pool_zone(z) in allowed_ids
+        ]
+        if pools:
+            # The controller would launch spot only into these pools, but
+            # on-demand only into bare zones; a policy can address one of
+            # the two id spaces, not both.
+            raise ValueError(
+                f"tenant {tenant.name!r}: heterogeneous (zone@itype) pools "
+                f"{pools} are not supported by the control plane"
+            )
+        spot_zones = [z.id for z in allowed if z.id in self.trace.zone_ids]
+        zones = spot_zones or [z.id for z in allowed]
+        if not zones:
+            raise ValueError(f"tenant {tenant.name!r} allows no zones in this topology")
+        return zones
 
     def run(self, duration: Optional[float] = None) -> FleetReport:
         """Serve every tenant's workload for ``duration`` seconds
@@ -317,16 +256,13 @@ class ControlPlane:
         if duration is None:
             duration = self.deployment.hours * 3600.0
         for tenant in self.deployment.tenants:
-            workload = make_tenant_workload(tenant, duration, self.seed)
-            self.clients[tenant.name] = ServiceClient(
+            self.clients[tenant.name] = self._client(
                 self.controllers[tenant.name],
-                workload,
+                make_tenant_workload(tenant, duration, self.seed),
                 client_region=self.client_region,
             )
-        for tenant in self.deployment.tenants:
-            self.controllers[tenant.name].start()
-            self.clients[tenant.name].start()
-        self.engine.run_until(duration)
+        names = self.deployment.tenant_names
+        self._serve([(self.controllers[n], self.clients[n]) for n in names], duration)
         self._ran_for = duration
         return self.report(duration)
 
@@ -358,7 +294,6 @@ class ControlPlane:
                         total=cost.total,
                     )
                 )
-            n_tar = controller.autoscaler.n_tar
             latency = stats.latency
             tenant_reports.append(
                 TenantReport(
@@ -373,9 +308,7 @@ class ControlPlane:
                     latency_p50=latency.p50 if latency else 0.0,
                     latency_p90=latency.p90 if latency else 0.0,
                     latency_p99=latency.p99 if latency else 0.0,
-                    availability=controller.ready_total_series.fraction_at_least(
-                        max(n_tar, 1), 0.0, duration
-                    ),
+                    availability=controller.availability(0.0, duration),
                     preemptions=int(controller.preemption_count.value),
                     launch_failures=int(controller.launch_failure_count.value),
                     spot_cost=cost.spot,

@@ -21,11 +21,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
+from repro.serving.inference import MODEL_PROFILES
+from repro.serving.registry import POLICIES
 from repro.serving.spec import ServiceSpec
+from repro.workloads.generators import WORKLOAD_KINDS
 
 __all__ = [
     "ADMISSION_MODES",
-    "TENANT_POLICIES",
     "DeploymentSpec",
     "TenantSpec",
     "load_deployment",
@@ -33,15 +35,6 @@ __all__ = [
 
 #: Admission modes of the capacity broker.
 ADMISSION_MODES = ("fair_share", "strict_priority")
-
-#: Serving-policy names a tenant may select (the replay-policy names).
-TENANT_POLICIES = ("SpotHedge", "EvenSpread", "RoundRobin", "OnDemand")
-
-#: Workload generator names (mirrors the ``repro serve`` CLI choices).
-_WORKLOADS = ("poisson", "arena", "maf")
-
-#: Model profiles a tenant may serve.
-_PROFILES = ("llama2-70b", "opt-6.7b", "vicuna-13b")
 
 
 @dataclass(frozen=True)
@@ -76,20 +69,19 @@ class TenantSpec:
             raise ValueError(
                 f"tenant {self.name!r}: rate must be positive, got {self.rate!r}"
             )
-        if self.workload not in _WORKLOADS:
+        if self.workload not in WORKLOAD_KINDS:
             raise ValueError(
                 f"tenant {self.name!r}: unknown workload {self.workload!r}; "
-                f"expected one of {_WORKLOADS}"
+                f"expected one of {WORKLOAD_KINDS}"
             )
-        if self.policy not in TENANT_POLICIES:
-            raise ValueError(
-                f"tenant {self.name!r}: unknown policy {self.policy!r}; "
-                f"expected one of {TENANT_POLICIES}"
-            )
-        if self.profile not in _PROFILES:
+        try:
+            POLICIES.validate(self.policy)
+        except ValueError as exc:
+            raise ValueError(f"tenant {self.name!r}: {exc}") from None
+        if self.profile not in MODEL_PROFILES:
             raise ValueError(
                 f"tenant {self.name!r}: unknown profile {self.profile!r}; "
-                f"expected one of {_PROFILES}"
+                f"expected one of {tuple(MODEL_PROFILES)}"
             )
 
     def to_dict(self) -> dict[str, Any]:

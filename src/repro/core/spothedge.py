@@ -20,6 +20,9 @@ The Dynamic Fallback target (§3.2)::
 
 launches an on-demand replica per missing ready spot replica, capped at
 N_Tar, and scales them down once spot capacity returns.
+
+SpotHedge, RoundRobin, EvenSpread and OnDemand are registered in
+:data:`repro.serving.registry.POLICIES` under those names.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ from repro.core.placement import (
     SpotPlacer,
 )
 from repro.serving.policy import MixTarget, Observation, ServingPolicy
+from repro.serving.registry import POLICIES
+from repro.serving.spec import ReplicaPolicyConfig
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.telemetry.audit import PolicyAuditLog
@@ -244,3 +249,23 @@ def round_robin_policy(
         dynamic_ondemand_fallback=False,
         name="RoundRobin",
     )
+
+
+def _spothedge_for(
+    zones: Sequence[str], replica_policy: Optional[ReplicaPolicyConfig] = None
+) -> MixturePolicy:
+    """SpotHedge with the service's N_Extra and base on-demand count
+    (the ``ReplicaPolicyConfig`` defaults, 2 and 0, when ``None``)."""
+    rp = replica_policy or ReplicaPolicyConfig()
+    return spothedge(
+        zones,
+        num_overprovision=rp.num_overprovision,
+        base_ondemand_replicas=rp.base_ondemand_fallback_replicas,
+    )
+
+
+# The other three have no replica-policy knobs.
+POLICIES.register("SpotHedge", _spothedge_for)
+POLICIES.register("RoundRobin", lambda zones, replica_policy=None: round_robin_policy(zones))
+POLICIES.register("EvenSpread", lambda zones, replica_policy=None: even_spread_policy(zones))
+POLICIES.register("OnDemand", lambda zones, replica_policy=None: OnDemandOnlyPolicy(zones))

@@ -4,8 +4,8 @@ autoscaler, simulated inference engines, client, and service facade."""
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.client import ClientStats, RetryPolicy, ServiceClient
 from repro.serving.controller import ServiceController
-from repro.serving.fleet import FleetService, ServiceFleet
 from repro.serving.inference import (
+    MODEL_PROFILES,
     InferenceServer,
     ModelProfile,
     llama2_70b_profile,
@@ -24,6 +24,7 @@ from repro.serving.registry import (
     AUTOSCALE_MODES,
     BALANCERS,
     PLACERS,
+    POLICIES,
     PolicyRegistry,
     load_entry_point_plugins,
 )
@@ -39,11 +40,12 @@ from repro.serving.spec import (
 __all__ = [
     "AUTOSCALE_MODES",
     "BALANCERS",
+    "MODEL_PROFILES",
     "PLACERS",
+    "POLICIES",
     "Autoscaler",
     "ClientStats",
     "DomainFilter",
-    "FleetService",
     "InferenceServer",
     "LeastLoadBalancer",
     "LoadBalancer",
@@ -60,7 +62,6 @@ __all__ = [
     "RoundRobinBalancer",
     "ServiceClient",
     "ServiceController",
-    "ServiceFleet",
     "ServiceReport",
     "ServiceSpec",
     "ServingPolicy",

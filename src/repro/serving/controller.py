@@ -787,6 +787,8 @@ class ServiceController:
                 )
 
     def availability(self, start: float, end: float, n_tar: Optional[int] = None) -> float:
-        """Fraction of [start, end] with at least n_tar replicas ready."""
-        threshold = n_tar if n_tar is not None else self.autoscaler.n_tar
+        """Fraction of [start, end] with at least n_tar replicas ready
+        (default: the autoscaler's current target, at least 1) — the
+        availability every service and tenant report carries."""
+        threshold = n_tar if n_tar is not None else max(self.autoscaler.n_tar, 1)
         return self.ready_total_series.fraction_at_least(threshold, start, end)

@@ -50,6 +50,7 @@ from repro.telemetry.spans import RequestSpan
 from repro.workloads.request import Request
 
 __all__ = [
+    "MODEL_PROFILES",
     "InferenceServer",
     "ModelProfile",
     "llama2_70b_profile",
@@ -180,6 +181,14 @@ def vicuna_13b_profile(*, decode_batch_slope: float = 0.0) -> ModelProfile:
         max_concurrency=8,
         decode_batch_slope=decode_batch_slope,
     )
+
+
+#: Model profiles by name (``repro serve --profile``, tenant ``profile``).
+MODEL_PROFILES: dict[str, Callable[..., ModelProfile]] = {
+    "llama2-70b": llama2_70b_profile,
+    "opt-6.7b": opt_6_7b_profile,
+    "vicuna-13b": vicuna_13b_profile,
+}
 
 
 def scale_profile_for_accelerator(

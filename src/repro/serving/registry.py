@@ -9,8 +9,14 @@ validation asks the registry, and factories instantiate by lookup — so
 a third-party policy becomes available to every spec and CLI flag by
 registering itself, with no edits to this repository.
 
-Three registries ship:
+Four registries ship:
 
+* :data:`POLICIES` — serving policies keyed by the names the replay,
+  sweep, report and chaos CLI flags, :func:`~repro.chaos.run_matrix`
+  and a deployment's tenant ``policy`` accept (``factory(zones,
+  replica_policy=None) -> ServingPolicy``; ``replica_policy`` is the
+  service's :class:`~repro.serving.spec.ReplicaPolicyConfig`, ``None``
+  meaning its defaults);
 * :data:`PLACERS` — :class:`~repro.core.placement.SpotPlacer`
   subclasses, keyed by the spec's ``spot_placer`` name;
 * :data:`BALANCERS` — balancer factories keyed by
@@ -21,8 +27,8 @@ Three registries ship:
   ``autoscale_mode`` (``strategy(autoscaler, now, qps_candidate) ->
   int``, returning the unclamped candidate).
 
-Built-in implementations live in :mod:`repro.core.placement`,
-:mod:`repro.serving.load_balancer`, and
+Built-in implementations live in :mod:`repro.core.spothedge`,
+:mod:`repro.core.placement`, :mod:`repro.serving.load_balancer`, and
 :mod:`repro.serving.autoscaler`; the registry imports them lazily on
 first lookup so importing this module alone stays cheap and free of
 cycles.
@@ -47,6 +53,7 @@ __all__ = [
     "AUTOSCALE_MODES",
     "BALANCERS",
     "PLACERS",
+    "POLICIES",
     "PolicyRegistry",
     "load_entry_point_plugins",
 ]
@@ -158,6 +165,11 @@ class PolicyRegistry:
         return name
 
 
+#: Serving policies (CLI ``--policies``/``--policy``, tenant ``policy``).
+POLICIES = PolicyRegistry(
+    "serving policy", builtin_modules=("repro.core.spothedge",)
+)
+
 #: Spot placers (``replica_policy.spot_placer``).
 PLACERS = PolicyRegistry(
     "spot placer", builtin_modules=("repro.core.placement",)
@@ -179,8 +191,9 @@ def load_entry_point_plugins(group: str = ENTRY_POINT_GROUP) -> list[str]:
 
     Each entry point in ``group`` is loaded and, if callable, called
     with no arguments — the conventional hook shape is a module-level
-    ``def register() -> None`` that calls ``PLACERS.register`` /
-    ``BALANCERS.register`` / ``AUTOSCALE_MODES.register``.  Returns the
+    ``def register() -> None`` that calls ``POLICIES.register`` /
+    ``PLACERS.register`` / ``BALANCERS.register`` /
+    ``AUTOSCALE_MODES.register``.  Returns the
     names of the entry points loaded (sorted, for deterministic logs).
 
     Loading is explicit by design: a simulation's behaviour must be a

@@ -3,13 +3,18 @@
 This is the facade a downstream user interacts with (the programmatic
 equivalent of ``sky serve up``): give it a service spec, a policy, a
 model profile, a spot trace, and a workload; run it; read the report.
+
+The engine → chaos → network → cloud → controller → client stack is
+built by :class:`_ServiceStack`, which
+:class:`~repro.control.plane.ControlPlane` shares: a one-tenant plane
+and a :class:`SkyService` are wired by the same code.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, Optional
 
 import numpy as np
 
@@ -96,7 +101,123 @@ class ServiceReport:
         return self.total_cost / baseline
 
 
-class SkyService:
+class _ServiceStack:
+    """RNG registry, engine, chaos-compiled trace, network and one
+    shared cloud, plus the controllers, clients and clock run on them:
+    the wiring :class:`SkyService` and
+    :class:`~repro.control.plane.ControlPlane` share.
+
+    Construction order fixes event and billing-hook order, so results
+    depend on it: this initialiser compiles the scenario, then builds the
+    network and the cloud; the front end then wraps the cloud if it
+    must (the control plane's broker replaces ``cloud.billing``), builds
+    its controllers, and calls :meth:`_arm` last, because armed price
+    surcharges land on whatever meter is installed at that moment.
+    """
+
+    def __init__(
+        self,
+        trace: SpotTrace,
+        *,
+        seed: int,
+        telemetry: Optional[EventBus],
+        scenario: Optional["ScenarioSpec"],
+        network: Optional[NetworkModel],
+        topology: Optional[Topology],
+        catalog: Optional[Catalog],
+        cloud_config: Optional[CloudConfig],
+    ) -> None:
+        self.seed = seed
+        self.rng = RngRegistry(seed)
+        self.engine = SimulationEngine(telemetry=telemetry)
+        self.telemetry = self.engine.telemetry
+        self._compiled: Optional["CompiledScenario"] = None
+        if scenario is not None:
+            # Chaos is lazy-imported: runs without a scenario never load
+            # (or pay for) the chaos subsystem at all.
+            from repro.chaos.overlay import compile_scenario
+
+            self._compiled = compile_scenario(scenario, trace, root_seed=seed)
+            trace = self._compiled.trace
+        self.trace = trace
+        self.network = network or default_network()
+        if self._compiled is not None and self._compiled.network_degradations:
+            from repro.chaos.injector import DegradedNetworkModel
+
+            self.network = DegradedNetworkModel(
+                self.network, self.engine, self._compiled.network_degradations
+            )
+        self.cloud = SimCloud(
+            self.engine, trace, topology=topology, catalog=catalog, config=cloud_config,
+            rng=self.rng,
+        )
+        self.injector: Optional["ChaosInjector"] = None
+
+    def _controller(
+        self,
+        cloud: SimCloud,
+        spec: ServiceSpec,
+        policy: ServingPolicy,
+        profile: ModelProfile,
+        *,
+        stream: str,
+        client_region: str,
+        adaptive_parallelism: bool = False,
+    ) -> ServiceController:
+        """A controller on ``cloud`` (or a tenant's view of it) whose
+        inference draws from the RNG stream named ``stream``."""
+        if self.telemetry.enabled and policy.audit is None:
+            # Every Alg. 1 step lands in the audit log and, through the
+            # bus, in whatever sinks the caller attached.  The log only
+            # observes: reports are identical with telemetry on or off.
+            policy.attach_audit(PolicyAuditLog(policy=policy.name, bus=self.telemetry))
+        return ServiceController(
+            self.engine, cloud, spec, policy, profile,
+            network=self.network,
+            rng=self.rng.stream(stream),
+            client_region=client_region,
+            adaptive_parallelism=adaptive_parallelism,
+        )
+
+    def _arm(self) -> None:
+        """Arm the scenario's live injections against the shared cloud."""
+        if self._compiled is not None:
+            from repro.chaos.injector import ChaosInjector
+
+            self.injector = ChaosInjector(
+                self._compiled, self.engine, self.cloud, root_seed=self.seed
+            )
+            self.injector.arm()
+
+    def _client(
+        self,
+        controller: ServiceController,
+        workload: Workload,
+        *,
+        client_region: str,
+        retry_policy: Optional[RetryPolicy] = None,
+    ) -> ServiceClient:
+        """A client of ``controller``; the ``client`` RNG stream exists
+        only when a retry policy draws backoff jitter from it."""
+        return ServiceClient(
+            controller, workload, client_region=client_region, backoff=retry_policy,
+            rng=self.rng.stream("client") if retry_policy is not None else None,
+        )
+
+    def _serve(
+        self,
+        services: Iterable[tuple[ServiceController, ServiceClient]],
+        duration: float,
+    ) -> None:
+        """Start each controller and then its client, in order, and run
+        the shared clock to ``duration``."""
+        for controller, client in services:
+            controller.start()
+            client.start()
+        self.engine.run_until(duration)
+
+
+class SkyService(_ServiceStack):
     """A deployed service: simulated cloud + controller + client."""
 
     def __init__(
@@ -117,60 +238,20 @@ class SkyService:
         scenario: Optional["ScenarioSpec"] = None,
         retry_policy: Optional[RetryPolicy] = None,
     ) -> None:
+        super().__init__(
+            trace, seed=seed, telemetry=telemetry, scenario=scenario, network=network,
+            topology=topology, catalog=catalog, cloud_config=cloud_config,
+        )
         self.spec = spec
         self.policy = policy
-        self.rng = RngRegistry(seed)
-        self.engine = SimulationEngine(telemetry=telemetry)
-        self.telemetry = self.engine.telemetry
-        if self.telemetry.enabled and policy.audit is None:
-            # Every Alg. 1 step lands in the audit log and, through the
-            # bus, in whatever sinks the caller attached.
-            policy.attach_audit(
-                PolicyAuditLog(policy=policy.name, bus=self.telemetry)
-            )
         self.scenario = scenario
-        self._compiled: Optional["CompiledScenario"] = None
-        if scenario is not None:
-            # Chaos is lazy-imported: runs without a scenario never load
-            # (or pay for) the chaos subsystem at all.
-            from repro.chaos.overlay import compile_scenario
-
-            self._compiled = compile_scenario(scenario, trace, root_seed=seed)
-            trace = self._compiled.trace
-        self.network = network or default_network()
-        if self._compiled is not None and self._compiled.network_degradations:
-            from repro.chaos.injector import DegradedNetworkModel
-
-            self.network = DegradedNetworkModel(
-                self.network, self.engine, self._compiled.network_degradations
-            )
-        self.cloud = SimCloud(
-            self.engine,
-            trace,
-            topology=topology,
-            catalog=catalog,
-            config=cloud_config,
-            rng=self.rng,
-        )
-        self.controller = ServiceController(
-            self.engine,
-            self.cloud,
-            spec,
-            policy,
-            profile or llama2_70b_profile(),
-            network=self.network,
-            rng=self.rng.stream("inference"),
+        self.controller = self._controller(
+            self.cloud, spec, policy, profile or llama2_70b_profile(),
+            stream="inference",
             client_region=client_region,
+            adaptive_parallelism=adaptive_parallelism,
         )
-        self.controller._adaptive_parallelism = adaptive_parallelism
-        self.injector: Optional["ChaosInjector"] = None
-        if self._compiled is not None:
-            from repro.chaos.injector import ChaosInjector
-
-            self.injector = ChaosInjector(
-                self._compiled, self.engine, self.cloud, root_seed=seed
-            )
-            self.injector.arm()
+        self._arm()
         self.client: Optional[ServiceClient] = None
         self.client_region = client_region
         #: Client retry behaviour: None keeps the legacy fixed-interval
@@ -185,18 +266,11 @@ class SkyService:
             duration,
             self.policy.name,
         )
-        self.client = ServiceClient(
-            self.controller,
-            workload,
-            client_region=self.client_region,
-            backoff=self.retry_policy,
-            rng=(
-                self.rng.stream("client") if self.retry_policy is not None else None
-            ),
+        self.client = self._client(
+            self.controller, workload, client_region=self.client_region,
+            retry_policy=self.retry_policy,
         )
-        self.controller.start()
-        self.client.start()
-        self.engine.run_until(duration)
+        self._serve([(self.controller, self.client)], duration)
         return self.report(duration)
 
     def down(self) -> None:
@@ -227,7 +301,6 @@ class SkyService:
                     total=cost.total,
                 )
             )
-        n_tar = self.controller.autoscaler.n_tar
         return ServiceReport(
             system=self.policy.name,
             duration=duration,
@@ -240,9 +313,7 @@ class SkyService:
             latency_samples=tuple(self.client.latencies.samples),
             spot_cost=cost.spot,
             od_cost=cost.on_demand,
-            availability=self.controller.ready_total_series.fraction_at_least(
-                max(n_tar, 1), 0.0, duration
-            ),
+            availability=self.controller.availability(0.0, duration),
             preemptions=int(self.controller.preemption_count.value),
             launch_failures=int(self.controller.launch_failure_count.value),
         )

@@ -26,11 +26,16 @@ from repro.sim.rng import RngRegistry
 from repro.workloads.request import Request, Workload
 
 __all__ = [
+    "WORKLOAD_KINDS",
     "arena_workload",
+    "make_workload",
     "maf_workload",
     "poisson_workload",
     "rate_modulated_arrivals",
 ]
+
+#: The names :func:`make_workload` accepts.
+WORKLOAD_KINDS = ("poisson", "arena", "maf")
 
 
 def _sample_tokens(
@@ -216,3 +221,20 @@ def maf_workload(
         registry.stream("maf-tokens"),
         token_kwargs={"input_median": 40.0, "output_median": 80.0, "output_sigma": 0.8},
     )
+
+
+def make_workload(kind: str, duration: float, rate: float, seed: int) -> Workload:
+    """One workload by name at base ``rate`` req/s (``repro serve
+    --workload`` and a tenant's ``workload``).
+
+    Arena outputs are capped at 800 tokens, the serving experiments'
+    setting.  The generators are looked up at call time, so wrappers
+    installed on this module's attributes see every call.
+    """
+    if kind == "poisson":
+        return poisson_workload(duration, rate=rate, seed=seed)
+    if kind == "arena":
+        return arena_workload(duration, base_rate=rate, max_output_tokens=800, seed=seed)
+    if kind == "maf":
+        return maf_workload(duration, base_rate=rate, seed=seed)
+    raise ValueError(f"unknown workload {kind!r}; expected one of {WORKLOAD_KINDS}")

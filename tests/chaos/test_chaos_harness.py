@@ -57,7 +57,7 @@ class TestValidation:
             )
         with pytest.raises(ValueError, match="no policies"):
             run_matrix(trace, [scenario], [])
-        with pytest.raises(ValueError, match="unknown policies"):
+        with pytest.raises(ValueError, match="unknown serving policy 'Madeup'"):
             run_matrix(trace, [scenario], ["SpotHedge", "Madeup"])
 
 

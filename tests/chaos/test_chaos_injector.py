@@ -308,3 +308,68 @@ class TestNoScenarioRegression:
             .read_text()
         )
         assert payload == recorded
+
+
+class TestKitchenSinkRegression:
+    """SkyService under the bundled kitchen-sink scenario (storm,
+    blackout, cold-start spike, price surge, degraded WAN, suppressed
+    warnings) with jittered client retries: the report is pinned to a
+    recorded fixture, with telemetry off and on (the policy audit the
+    service attaches under telemetry only observes)."""
+
+    @staticmethod
+    def run(telemetry):
+        from repro.chaos import load_scenario
+        from repro.cloud import HOUR
+        from repro.core import spothedge
+        from repro.experiments import service_report_to_dict
+        from repro.experiments.endtoend import SKYSERVE_REGIONS, e2e_trace
+        from repro.serving import (
+            DomainFilter,
+            ReplicaPolicyConfig,
+            ResourceSpec,
+            RetryPolicy,
+            ServiceSpec,
+            SkyService,
+        )
+        from repro.workloads import poisson_workload
+
+        duration = 5 * HOUR
+        trace = e2e_trace("volatile", duration=duration, seed=3)
+        spec = ServiceSpec(
+            name="kitchen-sink-fixture",
+            replica_policy=ReplicaPolicyConfig(fixed_target=3, num_overprovision=2),
+            resources=ResourceSpec(
+                accelerator="A10G",
+                any_of=tuple(
+                    DomainFilter(cloud=r.split(":")[0], region=r.split(":")[1])
+                    for r in SKYSERVE_REGIONS
+                ),
+            ),
+            request_timeout=100.0,
+        )
+        service = SkyService(
+            spec,
+            spothedge(trace.zone_ids),
+            trace,
+            seed=3,
+            scenario=load_scenario("kitchen-sink"),
+            retry_policy=RetryPolicy(),
+            telemetry=telemetry,
+        )
+        report = service.run(poisson_workload(duration, rate=0.1, seed=3), duration)
+        payload = service_report_to_dict(report)
+        payload["latency_samples"] = list(report.latency_samples)
+        return payload
+
+    @pytest.mark.parametrize("telemetry", [False, True], ids=["quiet", "telemetry"])
+    def test_report_matches_recorded_fixture(self, telemetry):
+        sink = RingBufferSink()
+        payload = self.run(EventBus([sink]) if telemetry else None)
+        recorded = json.loads(
+            (REPO_ROOT / "tests" / "data" / "kitchen_sink_service_report.json")
+            .read_text()
+        )
+        assert payload == recorded
+        if telemetry:
+            assert any(e.kind == "policy.decision" for e in sink.events)

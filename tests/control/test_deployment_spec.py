@@ -37,7 +37,7 @@ class TestTenantSpec:
             (dict(qps_share=-1.0), "qps_share"),
             (dict(rate=0.0), "rate"),
             (dict(workload="sinusoid"), "unknown workload"),
-            (dict(policy="MagicHedge"), "unknown policy"),
+            (dict(policy="MagicHedge"), "unknown serving policy"),
             (dict(profile="gpt-5"), "unknown profile"),
         ],
     )

@@ -13,8 +13,8 @@ import pytest
 
 from repro.cloud import HOUR, aws1
 from repro.control import ControlPlane, DeploymentSpec, TenantSpec
-from repro.control.plane import make_tenant_policy, make_tenant_workload
-from repro.serving import ReplicaPolicyConfig, ServiceSpec, SkyService
+from repro.control.plane import make_tenant_workload
+from repro.serving import POLICIES, ReplicaPolicyConfig, ServiceSpec, SkyService
 
 SEED = 7
 DURATION = HOUR
@@ -45,7 +45,9 @@ def reports():
 
     service = SkyService(
         tenant.service,
-        make_tenant_policy(tenant, list(trace.zone_ids)),
+        POLICIES.get(tenant.policy)(
+            list(trace.zone_ids), tenant.service.replica_policy
+        ),
         trace,
         seed=SEED,
     )

@@ -12,29 +12,17 @@ from repro.baselines import ASGPolicy, AWSSpotPolicy, MArkPolicy, SingleZonePoli
 from repro.chaos import BUILTIN_SCENARIOS, builtin_scenario, compile_scenario
 from repro.cloud import SpotTrace
 from repro.cloud.traces import aws1, aws2, aws3, cpu_trace, gcp1
-from repro.core import (
-    OnDemandOnlyPolicy,
-    even_spread_policy,
-    round_robin_policy,
-    spothedge,
-)
+from repro.core import OnDemandOnlyPolicy, round_robin_policy, spothedge
 from repro.core.spothedge import MixturePolicy
 from repro.experiments import ENGINES, ReplayConfig, TraceReplayer
 from repro.experiments.fastpath import bucket_step, supports_fluid
+from repro.serving.registry import POLICIES
 from repro.telemetry.audit import PolicyAuditLog
 from repro.telemetry.events import EventBus
 from repro.telemetry.sinks import RingBufferSink
 
 Z1, Z2, Z3 = "aws:r1:r1a", "aws:r1:r1b", "aws:r2:r2a"
 ZONES = [Z1, Z2, Z3]
-
-POLICY_FACTORIES = {
-    "SpotHedge": spothedge,
-    "RoundRobin": round_robin_policy,
-    "EvenSpread": even_spread_policy,
-    "OnDemand": OnDemandOnlyPolicy,
-}
-
 
 def trace_with(rows, step=60.0, name="fastpath-test"):
     return SpotTrace(name, ZONES, step, np.asarray(rows))
@@ -102,11 +90,11 @@ class TestEngineSelection:
 
 class TestBundledTraceEquivalence:
     @pytest.mark.parametrize("trace_factory", [aws1, aws2, aws3, gcp1, cpu_trace])
-    @pytest.mark.parametrize("policy", sorted(POLICY_FACTORIES))
+    @pytest.mark.parametrize("policy", POLICIES.names())
     @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
     def test_byte_identical_on_bundled_traces(self, trace_factory, policy, engine):
         trace = trace_factory()
-        factory = POLICY_FACTORIES[policy]
+        factory = POLICIES.get(policy)
         ref = replay(trace, factory, "discrete")
         got = replay(trace, factory, engine)
         assert_identical(ref, got)
@@ -179,7 +167,7 @@ class TestTelemetryEquivalence:
     @pytest.mark.parametrize("policy", ["SpotHedge", "RoundRobin"])
     def test_event_streams_identical(self, engine, policy):
         trace = aws1()
-        factory = POLICY_FACTORIES[policy]
+        factory = POLICIES.get(policy)
         streams = []
         for eng in ("discrete", engine):
             sink = RingBufferSink()

@@ -1,16 +1,27 @@
 """Policy registries: lookup, plugin registration, spec validation."""
 
+import re
+
+import numpy as np
 import pytest
 
+from repro.chaos import builtin_scenario, run_matrix
+from repro.cli import main
+from repro.cloud import SpotTrace, aws1
+from repro.control import ControlPlane, DeploymentSpec, TenantSpec
+from repro.core import OnDemandOnlyPolicy, spothedge
 from repro.core.placement import SpotPlacer, make_placer
 from repro.serving import ReplicaPolicyConfig, ServiceSpec
 from repro.serving.registry import (
     AUTOSCALE_MODES,
     BALANCERS,
     PLACERS,
+    POLICIES,
     PolicyRegistry,
     load_entry_point_plugins,
 )
+
+UNKNOWN_POLICY = re.escape("unknown serving policy 'Nope': expected one of (")
 
 
 class TestPolicyRegistry:
@@ -25,6 +36,23 @@ class TestPolicyRegistry:
 
     def test_builtin_autoscale_modes_registered(self):
         assert AUTOSCALE_MODES.names() == ("qps", "slo")
+
+    def test_builtin_serving_policies_registered(self):
+        assert POLICIES.names() == ("EvenSpread", "OnDemand", "RoundRobin", "SpotHedge")
+        for name in POLICIES:
+            assert POLICIES.get(name)(["z1", "z2"]).name == name
+
+    def test_spothedge_defaults_match_the_replay_factory(self):
+        registered = POLICIES.get("SpotHedge")(["z1", "z2"])
+        direct = spothedge(["z1", "z2"])
+        assert registered.num_overprovision == direct.num_overprovision == 2
+        assert registered.base_ondemand_replicas == direct.base_ondemand_replicas == 0
+
+    def test_spothedge_reads_the_replica_policy(self):
+        rp = ReplicaPolicyConfig(num_overprovision=1, base_ondemand_fallback_replicas=3)
+        policy = POLICIES.get("SpotHedge")(["z1"], rp)
+        assert policy.num_overprovision == 1
+        assert policy.base_ondemand_replicas == 3
 
     def test_unknown_name_lists_registered(self):
         with pytest.raises(ValueError, match="unknown spot placer 'bogus'"):
@@ -108,3 +136,69 @@ class TestSpecRegistryValidation:
                 name="svc",
                 replica_policy=ReplicaPolicyConfig(autoscale_mode="nope"),
             )
+
+
+def _tiny_trace():
+    zones = ["aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b"]
+    return SpotTrace("tiny", zones, 300.0, np.full((2, 12), 2, dtype=np.int64))
+
+
+@pytest.mark.parametrize(
+    "entry,error",
+    [
+        (lambda: main(["replay", "--trace", "aws1", "--policies", "SpotHedge,Nope"]),
+         SystemExit),
+        (lambda: main(["sweep", "--trace", "aws1", "--policies", "Nope", "--no-cache"]),
+         SystemExit),
+        (lambda: main(["report", "--replay", "--policy", "Nope"]), SystemExit),
+        (lambda: main(["chaos", "run", "--trace", "aws1", "--policies", "Nope",
+                       "--no-cache"]),
+         SystemExit),
+        (lambda: run_matrix(_tiny_trace(), [builtin_scenario("preemption-storm")],
+                            ["Nope"], use_cache=False),
+         ValueError),
+        (lambda: TenantSpec(service=ServiceSpec(name="t"), policy="Nope"), ValueError),
+    ],
+    ids=["replay", "sweep", "report", "chaos-run", "run_matrix", "tenant-spec"],
+)
+def test_one_unknown_policy_error_everywhere(entry, error):
+    with pytest.raises(error, match=UNKNOWN_POLICY):
+        entry()
+
+
+class MyPolicy(OnDemandOnlyPolicy):
+    name = "MyPolicy"
+
+
+class TestThirdPartyServingPolicy:
+    def test_registered_policy_reaches_deployments_and_replay(self, capsys):
+        POLICIES.register("MyPolicy", lambda zones, replica_policy=None: MyPolicy(zones))
+        try:
+            deployment = DeploymentSpec(
+                name="plugin",
+                tenants=(
+                    TenantSpec(
+                        service=ServiceSpec(
+                            name="solo",
+                            replica_policy=ReplicaPolicyConfig(fixed_target=1),
+                        ),
+                        workload="poisson",
+                        rate=0.05,
+                        policy="MyPolicy",
+                    ),
+                ),
+            )
+            plane = ControlPlane(deployment, aws1(), seed=1)
+            fleet = plane.run(600.0)
+            assert isinstance(plane.controllers["solo"].policy, MyPolicy)
+            assert fleet.tenant("solo").policy == "MyPolicy"
+            assert fleet.tenant("solo").spot_cost == 0.0
+
+            assert main(["replay", "--trace", "aws1", "--target", "2",
+                         "--policies", "MyPolicy"]) == 0
+            assert "MyPolicy" in capsys.readouterr().out
+        finally:
+            POLICIES.unregister("MyPolicy")
+        assert "MyPolicy" not in POLICIES
+        with pytest.raises(SystemExit, match="unknown serving policy 'MyPolicy'"):
+            main(["replay", "--trace", "aws1", "--policies", "MyPolicy"])

@@ -210,7 +210,7 @@ class TestReportCommand:
             main(["report", str(tmp_path / "nope.jsonl")])
 
     def test_unknown_policy_rejected(self):
-        with pytest.raises(SystemExit, match="unknown policy"):
+        with pytest.raises(SystemExit, match="unknown serving policy 'Nope'"):
             main(["report", "--replay", "--policy", "Nope"])
 
     def test_replay_dashboard(self, capsys):
