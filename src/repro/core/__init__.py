@@ -2,11 +2,12 @@
 
 Dynamic Placement (Alg. 1), overprovisioning and Dynamic Fallback
 (§3.2), the Omniscient ILP bound (§3.3), and the heterogeneous-
-accelerator extension (§6).
+accelerator extension (§6) as SpotHedge over capacity-weighted
+``zone@itype`` pools: GPU-tier fallback is the pool policy with the
+preferred type ranked cheapest per unit.
 """
 
 from repro.core.fleet import FleetMixturePolicy, hetero_spothedge
-from repro.core.heterogeneous import AcceleratorTier, HeterogeneousPolicy
 from repro.core.omniscient import (
     OmniscientResult,
     solve_omniscient,
@@ -28,9 +29,7 @@ from repro.core.spothedge import (
 )
 
 __all__ = [
-    "AcceleratorTier",
     "DynamicSpotPlacer",
-    "HeterogeneousPolicy",
     "EvenSpreadPlacer",
     "FleetMixturePolicy",
     "MixturePolicy",

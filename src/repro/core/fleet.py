@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from typing import Mapping, Optional, Sequence
 
+from repro.cloud.gpus import pool_zone
 from repro.core.placement import DynamicSpotPlacer, SpotPlacer
 from repro.core.spothedge import MixturePolicy
 from repro.serving.policy import MixTarget, Observation
@@ -153,7 +154,7 @@ class FleetMixturePolicy(MixturePolicy):
                 spot_target -= 1
         self.placer.set_target(spot_target)
         od_target = self.base_ondemand_replicas
-        fallback = 0.0
+        fallback = 0
         if self.dynamic_ondemand_fallback:
             # Lower-bound the ready weighted capacity: per-pool
             # readiness is unobservable, so charge the cold replicas
@@ -172,26 +173,10 @@ class FleetMixturePolicy(MixturePolicy):
                 ready_capacity = max(
                     launched_capacity - sum(cold[:pending]), 0.0
                 )
-            fallback = min(float(obs.n_tar), goal - ready_capacity)
-            od_target = max(od_target, int(math.ceil(max(fallback, 0.0))))
-        mix = self._mix_cache.get((spot_target, od_target))
-        if mix is None:
-            mix = MixTarget(spot_target=spot_target, od_target=od_target)
-            self._mix_cache[(spot_target, od_target)] = mix
-        if self.audit is not None:
-            self.audit.touch(obs.now)
-            if mix != self._last_mix:
-                self.audit.record(
-                    "target_mix",
-                    spot_target=spot_target,
-                    od_target=od_target,
-                    n_tar=obs.n_tar,
-                    n_extra=self.num_overprovision,
-                    spot_ready=obs.spot_ready,
-                    fallback=int(math.ceil(max(fallback, 0.0))),
-                )
-                self._last_mix = mix
-        return mix
+            shortfall = min(float(obs.n_tar), goal - ready_capacity)
+            fallback = int(math.ceil(max(shortfall, 0.0)))
+            od_target = max(od_target, fallback)
+        return self._mix(obs, spot_target, od_target, fallback)
 
 
 def hetero_spothedge(
@@ -212,16 +197,22 @@ def hetero_spothedge(
     MIN-COST ranks by, and ``pool_weights`` the capacity weights
     (:func:`repro.cloud.gpus.pool_capacity_weights`).  On-demand
     fallback runs on plain zones (on-demand capacity is generally
-    obtainable, §5.1) priced by the *fixed* cheapest-on-demand signal —
-    the pricing path the satellite bugfix corrected.
+    obtainable, §5.1) priced by the cheapest-on-demand signal; by
+    default those are the pools' base zones, in first-seen order.
+
+    This is also the paper's §6 tier fallback: rank the preferred GPU
+    cheapest per unit and Alg. 1 moves spot launches to the next type
+    when its pools fail, and back once one of them serves again.
     """
+    if od_zones is None:
+        od_zones = list(dict.fromkeys(pool_zone(pool) for pool in pools))
     placer = DynamicSpotPlacer(pools, dict(pool_costs))
     return FleetMixturePolicy(
         placer,
         pool_weights=pool_weights,
         num_overprovision=num_overprovision,
         dynamic_ondemand_fallback=True,
-        od_zones=od_zones if od_zones is not None else list(pools),
+        od_zones=od_zones,
         od_zone_costs=od_zone_costs,
         name=name,
     )

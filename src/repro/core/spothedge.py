@@ -141,6 +141,14 @@ class MixturePolicy(ServingPolicy):
         if self.dynamic_ondemand_fallback:
             fallback = min(obs.n_tar, spot_target - obs.spot_ready)
             od_target = max(od_target, max(fallback, 0))
+        return self._mix(obs, spot_target, od_target, fallback)
+
+    def _mix(
+        self, obs: Observation, spot_target: int, od_target: int, fallback: int
+    ) -> MixTarget:
+        """Intern the ``(spot_target, od_target)`` decision and, when an
+        audit log is attached, record it once per change; ``fallback``
+        is the Dynamic Fallback term the record carries."""
         mix = self._mix_cache.get((spot_target, od_target))
         if mix is None:
             mix = MixTarget(spot_target=spot_target, od_target=od_target)

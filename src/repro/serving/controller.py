@@ -573,18 +573,26 @@ class ServiceController:
                 self.policy.on_spot_ready(replica.zone_id)
             self._after_event()
 
+    def _lose_worker(self, replica: Replica, instance: Instance) -> bool:
+        """Drop ``instance`` from ``replica``.  When that kills a live
+        replica, unregister it and terminate its remaining workers, and
+        return True so the caller records why it died."""
+        was_alive = replica.state is not ReplicaState.DEAD
+        replica.worker_lost(instance)
+        if replica.state is not ReplicaState.DEAD or not was_alive:
+            return False
+        if replica in self.replicas:
+            self.replicas.remove(replica)
+        for worker in list(replica.workers):
+            self.cloud.terminate(worker)
+            self._instance_replica.pop(worker.id, None)
+        return True
+
     def _on_instance_preempted(self, instance: Instance) -> None:
         replica = self._instance_replica.pop(instance.id, None)
         if replica is None:
             return
-        was_alive = replica.state is not ReplicaState.DEAD
-        replica.worker_lost(instance)
-        if replica.state is ReplicaState.DEAD and was_alive:
-            if replica in self.replicas:
-                self.replicas.remove(replica)
-            for worker in list(replica.workers):
-                self.cloud.terminate(worker)
-                self._instance_replica.pop(worker.id, None)
+        if self._lose_worker(replica, instance):
             self.preemption_count.add()
             logger.info(
                 "t=%.1f replica %d preempted in %s (warned=%s)",
@@ -645,14 +653,7 @@ class ServiceController:
         replica = self._instance_replica.pop(instance.id, None)
         if replica is None:
             return
-        was_alive = replica.state is not ReplicaState.DEAD
-        replica.worker_lost(instance)
-        if replica.state is ReplicaState.DEAD and was_alive:
-            if replica in self.replicas:
-                self.replicas.remove(replica)
-            for worker in list(replica.workers):
-                self.cloud.terminate(worker)
-                self._instance_replica.pop(worker.id, None)
+        if self._lose_worker(replica, instance):
             self.launch_failure_count.add()
             logger.info(
                 "t=%.1f replica %d launch failed in %s",

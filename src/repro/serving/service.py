@@ -275,17 +275,16 @@ class SkyService(_ServiceStack):
 
     def down(self) -> None:
         """Tear the service down (``sky serve down``): terminate every
-        replica's instances and stop billing accrual.
+        replica's instances and stop billing accrual.  Each replica
+        ends the way a scale-down does, with a ``replica.terminated``
+        event (reason ``teardown``).
 
         The engine keeps running (other services may share it); this
         service simply stops holding resources.
         """
         self.controller.stop()
         for replica in list(self.controller.replicas):
-            for worker in list(replica.workers):
-                self.cloud.terminate(worker)
-            replica.kill()
-        self.controller.replicas.clear()
+            self.controller._destroy(replica)
 
     def report(self, duration: float) -> ServiceReport:
         if self.client is None:

@@ -60,9 +60,11 @@ from repro.telemetry.events import (
     ProfilePhase,
     ReplicaLaunch,
     ReplicaLaunchFailed,
+    ReplicaLoadSample,
     ReplicaPreempted,
     ReplicaReady,
     ReplicaTerminated,
+    RequestShed,
     RequestSpanEvent,
     RouteDecision,
     SloBurnAlert,
@@ -75,7 +77,9 @@ from repro.telemetry.events import (
 from repro.telemetry.logsetup import configure_logging, root_logger
 from repro.telemetry.metrics import (
     CounterFamily,
+    CounterMetric,
     GaugeFamily,
+    GaugeMetric,
     HistogramFamily,
     HistogramMetric,
     MetricRegistry,
@@ -113,11 +117,13 @@ __all__ = [
     "ChaosScenarioStarted",
     "CostSnapshot",
     "CounterFamily",
+    "CounterMetric",
     "EventBus",
     "EventLogSummary",
     "EventsDropped",
     "FleetSample",
     "GaugeFamily",
+    "GaugeMetric",
     "GenericEvent",
     "HistogramFamily",
     "HistogramMetric",
@@ -135,9 +141,11 @@ __all__ = [
     "PrometheusSnapshot",
     "ReplicaLaunch",
     "ReplicaLaunchFailed",
+    "ReplicaLoadSample",
     "ReplicaPreempted",
     "ReplicaReady",
     "ReplicaTerminated",
+    "RequestShed",
     "RequestSpan",
     "RequestSpanEvent",
     "RingBufferSink",

@@ -110,12 +110,113 @@ class TestWeightedFallback:
 
 
 class TestValidation:
+    def test_empty_pools_rejected(self):
+        with pytest.raises(ValueError):
+            tier_policy(pools=[])
+
+    def test_duplicate_pools_rejected(self):
+        with pytest.raises(ValueError):
+            tier_policy(pools=A100_POOLS + A100_POOLS[:1])
+
     def test_non_positive_weight_rejected(self):
         with pytest.raises(ValueError):
             fleet_policy(pool_weights={"z1@small": 0.0})
 
     def test_pool_weight_defaults_to_one(self):
         assert fleet_policy().pool_weight("unknown") == 1.0
+
+
+# §6 tier fallback as pools: A100 first because it is cheapest per unit
+# (the per-unit costs pool_spot_costs gives with reference="A100").
+A100_POOLS = ["aws:us-east-1:us-east-1a@a100", "aws:us-east-1:us-east-1b@a100"]
+V100_POOLS = ["aws:us-west-2:us-west-2a@v100", "aws:us-west-2:us-west-2b@v100"]
+TIER_COSTS = {**{p: 6.8 for p in A100_POOLS}, **{p: 12.5 for p in V100_POOLS}}
+TIER_WEIGHTS = {**{p: 1.0 for p in A100_POOLS}, **{p: 0.25 for p in V100_POOLS}}
+
+
+def tier_policy(pools=A100_POOLS + V100_POOLS, **kwargs):
+    kwargs.setdefault("pool_costs", TIER_COSTS)
+    return hetero_spothedge(pools, pool_weights=TIER_WEIGHTS, **kwargs)
+
+
+class TestTierFallback:
+    """The tier walk is Alg. 1 over pools: failed pools leave Z_A, so
+    launches move to the next-cheapest type per unit, and a pool that
+    serves again rejoins Z_A."""
+
+    def test_prefers_best_tier(self):
+        assert tier_policy().select_spot_zone(obs()) in A100_POOLS
+
+    def test_partial_tier_failure_keeps_best_tier(self):
+        policy = tier_policy()
+        policy.on_spot_launch_failed(A100_POOLS[0])
+        assert policy.select_spot_zone(obs()) == A100_POOLS[1]
+
+    def test_falls_to_lower_tier_when_best_is_down(self):
+        policy = tier_policy()
+        for pool in A100_POOLS:
+            policy.on_spot_launch_failed(pool)
+        assert policy.select_spot_zone(obs()) in V100_POOLS
+
+    def test_success_rehabilitates_tier_immediately(self):
+        policy = tier_policy()
+        for pool in A100_POOLS:
+            policy.on_spot_launch_failed(pool)
+        policy.on_spot_ready(A100_POOLS[0])
+        assert policy.select_spot_zone(obs()) == A100_POOLS[0]
+
+    def test_all_tiers_cooling_still_launches(self):
+        policy = tier_policy()
+        for pool in A100_POOLS + V100_POOLS:
+            policy.on_spot_launch_failed(pool)
+        # Alg. 1 rebalances instead of cornering itself: every pool is
+        # active again and the cheapest per unit leads.
+        assert policy.select_spot_zone(obs()) in A100_POOLS
+
+    def test_dynamic_fallback_still_applies(self):
+        mix = tier_policy(num_overprovision=2).target_mix(obs(n_tar=4))
+        assert mix.od_target == 4
+
+
+class TestTierOnDemandZones:
+    """On-demand fallback lands on the pools' base zones."""
+
+    def test_od_zone_comes_from_best_tier(self):
+        policy = tier_policy()
+        assert policy.od_zones == [
+            "aws:us-east-1:us-east-1a",
+            "aws:us-east-1:us-east-1b",
+            "aws:us-west-2:us-west-2a",
+            "aws:us-west-2:us-west-2b",
+        ]
+        assert policy.select_od_zone(obs()) == "aws:us-east-1:us-east-1a"
+
+    def test_od_declaration_order_without_costs(self):
+        # Two types in one zone give one on-demand zone, first-seen order.
+        pools = V100_POOLS + ["aws:us-west-2:us-west-2a@a100"]
+        policy = tier_policy(pools=pools, pool_costs={p: 1.0 for p in pools})
+        assert policy.od_zones == ["aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b"]
+        assert policy.select_od_zone(obs()) == "aws:us-west-2:us-west-2a"
+
+    def test_od_prefers_cheapest_od_zone(self):
+        policy = tier_policy(
+            od_zone_costs={
+                "aws:us-east-1:us-east-1a": 3.0,
+                "aws:us-east-1:us-east-1b": 1.0,
+                "aws:us-west-2:us-west-2a": 2.0,
+                "aws:us-west-2:us-west-2b": 2.0,
+            }
+        )
+        assert policy.select_od_zone(obs()) == "aws:us-east-1:us-east-1b"
+
+    def test_od_respects_exclusions(self):
+        policy = tier_policy()
+        excluded = {"aws:us-east-1:us-east-1a", "aws:us-east-1:us-east-1b"}
+        assert policy.select_od_zone(obs(), excluded) == "aws:us-west-2:us-west-2a"
+
+    def test_explicit_od_zones_kept(self):
+        policy = tier_policy(od_zones=["aws:us-west-2:us-west-2b"])
+        assert policy.od_zones == ["aws:us-west-2:us-west-2b"]
 
 
 class TestFactory:

@@ -1,9 +1,20 @@
 """Integration tests for the SkyService facade."""
 
+import numpy as np
 import pytest
 
-from repro.cloud import HOUR, aws1
-from repro.core import OnDemandOnlyPolicy, spothedge
+from repro.cloud import (
+    HOUR,
+    PriceBook,
+    SpotTrace,
+    aws1,
+    hetero_catalog,
+    pool_capacity_weights,
+    pool_id,
+    pool_spot_costs,
+    split_pool,
+)
+from repro.core import OnDemandOnlyPolicy, hetero_spothedge, spothedge
 from repro.serving import (
     DomainFilter,
     ReplicaPolicyConfig,
@@ -11,6 +22,7 @@ from repro.serving import (
     ServiceSpec,
     SkyService,
 )
+from repro.telemetry import EventBus, RingBufferSink, summarize
 from repro.workloads import poisson_workload
 
 
@@ -102,6 +114,79 @@ class TestTeardown:
         assert service.cloud.billing.total(service.engine.now) == pytest.approx(
             cost_at_down
         )
+
+    def test_down_records_teardown(self):
+        # Fixed target 2 on a short aws1 window: four replicas are still
+        # up when the service goes down.
+        sink = RingBufferSink()
+        trace = aws1().window(0, 3 * HOUR)
+        service = SkyService(
+            make_spec(), spothedge(trace.zone_ids), trace, seed=1,
+            telemetry=EventBus([sink]),
+        )
+        service.run(poisson_workload(HOUR, rate=0.1, seed=1), HOUR)
+        live = [r.id for r in service.controller.replicas]
+        assert live
+        service.down()
+        rows = summarize(sink.events).replicas
+        assert not [r for r in rows.values() if r.outcome == "running"]
+        assert {rows[rid].outcome for rid in live} == {"teardown"}
+        assert service.controller._instance_replica == {}
+
+
+# §6 tier fallback on the request-level stack: an A100 service whose
+# A100 pools black out from hour 3 to hour 8 while the V100 pools stay up.
+A100_POOLS = [
+    pool_id(zone, "a2-ultragpu-4g")
+    for zone in ("gcp:us-central1:us-central1-a", "gcp:us-east1:us-east1-b")
+]
+V100_POOLS = [
+    pool_id(zone, "p3.8xlarge")
+    for zone in ("aws:us-west-2:us-west-2a", "aws:us-west-2:us-west-2b")
+]
+
+
+def tier_trace():
+    steps = 12 * 60
+    a100 = np.full((2, steps), 4)
+    a100[:, 180:480] = 0
+    rows = np.vstack([a100, np.full((2, steps), 4)])
+    return SpotTrace("hetero-demo", A100_POOLS + V100_POOLS, 60.0, rows)
+
+
+class TestHeterogeneousPools:
+    def test_tier_fallback_with_default_od_zones(self):
+        trace = tier_trace()
+        catalog = hetero_catalog()
+        pools = trace.zone_ids
+        policy = hetero_spothedge(
+            pools,
+            pool_costs=pool_spot_costs(pools, PriceBook(catalog), reference="A100"),
+            pool_weights=pool_capacity_weights(pools, catalog, reference="A100"),
+            num_overprovision=1,
+        )
+        spec = ServiceSpec(
+            name="svc",
+            replica_policy=ReplicaPolicyConfig(fixed_target=4),
+            resources=ResourceSpec(accelerator="A100"),
+            request_timeout=60.0,
+        )
+        service = SkyService(spec, policy, trace, catalog=catalog, seed=3)
+        service.run(poisson_workload(12 * HOUR, rate=0.02, seed=3), 12 * HOUR)
+
+        instances = service.cloud.billing.instances
+        spot = [i for i in instances if i.spot]
+        on_demand = [i for i in instances if not i.spot]
+        assert {split_pool(i.zone_id)[1] for i in spot} == {
+            "a2-ultragpu-4g", "p3.8xlarge"
+        }
+        for instance in spot:
+            assert instance.instance_type.name == split_pool(instance.zone_id)[1]
+        assert on_demand
+        assert all(split_pool(i.zone_id)[1] is None for i in on_demand)
+        v100 = [r for r in service.controller.replicas if r.zone_id in V100_POOLS]
+        assert v100
+        assert {r.capacity_weight for r in v100} == {0.25}
 
 
 class TestBoxPlot:
