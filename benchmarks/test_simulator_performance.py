@@ -115,11 +115,12 @@ def test_recurring_timer_throughput(benchmark):
 
 
 def test_replay_throughput(benchmark):
-    """Replaying a week-long three-zone trace with SpotHedge."""
+    """Replaying a week-long three-zone trace with SpotHedge on the
+    discrete oracle (the per-step loop every other engine must match)."""
     trace = perf_trace()
 
     def run():
-        replayer = TraceReplayer(trace, ReplayConfig(n_tar=4))
+        replayer = TraceReplayer(trace, ReplayConfig(n_tar=4), engine="discrete")
         return replayer.run(spothedge(ZONES))
 
     run()  # warm caches
@@ -143,23 +144,27 @@ def test_replay_throughput(benchmark):
 
 
 def test_vectorized_replay_throughput(benchmark):
-    """The numpy fastpath on the realistic week-long three-zone trace.
+    """The numpy fastpath (hybrid engine) on the realistic week-long
+    three-zone trace.
 
-    Three pins: (1) the vectorized engine reproduces the discrete
-    oracle byte-for-byte on this trace (the property suite covers the
-    general case; this keeps the perf benchmark honest); (2) it clears
-    1M steps/s in full mode — the million-user-scale sweep target
-    (~2.9M on dev hardware, ~10x the discrete loop); (3) the number is
-    recorded as ``replay_vectorized`` for the perfreg gate."""
+    Three pins: (1) the hybrid engine reproduces the discrete oracle
+    byte-for-byte on this trace (the property suite covers the general
+    case; this keeps the perf benchmark honest) and actually
+    fast-forwards; (2) it clears 1M steps/s in full mode — the
+    million-user-scale sweep target (~2.9M on dev hardware, ~10x the
+    discrete loop); (3) the number is recorded as ``replay_vectorized``
+    for the perfreg gate."""
     trace = realistic_trace()
     config = ReplayConfig(n_tar=4)
 
     def run(engine):
         replayer = TraceReplayer(trace, config, engine=engine)
-        return replayer.run(spothedge(ZONES))
+        result = replayer.run(spothedge(ZONES))
+        return replayer, result
 
-    ref = run("discrete")
-    fast = run("vectorized")
+    _, ref = run("discrete")
+    replayer, fast = run("hybrid")
+    assert replayer.fast_forwarded_steps > 0
     assert fast.availability == ref.availability
     assert fast.spot_cost == ref.spot_cost
     assert fast.od_cost == ref.od_cost
@@ -169,16 +174,16 @@ def test_vectorized_replay_throughput(benchmark):
     times = []
     for _ in range(3):
         start = time.perf_counter()
-        run("vectorized")
+        run("hybrid")
         times.append(time.perf_counter() - start)
     steps_per_second = trace.n_steps / min(times)
-    print(f"\nvectorized replay: {min(times) * 1e3:.1f}ms for "
+    print(f"\nhybrid replay: {min(times) * 1e3:.1f}ms for "
           f"{trace.n_steps} steps ({steps_per_second:,.0f} steps/s)")
     record_baseline(
         "replay_vectorized", seconds=min(times), steps=trace.n_steps,
         steps_per_second=steps_per_second,
     )
-    benchmark.pedantic(lambda: run("vectorized"), rounds=1, iterations=1)
+    benchmark.pedantic(lambda: run("hybrid"), rounds=1, iterations=1)
     # Fluid fast-forward turns quiescent hours into O(1) slice fills;
     # the full week-long trace replays at ~2.9M steps/s on dev
     # hardware.  Smoke mode's day-long trace amortises the fixed array
@@ -192,8 +197,8 @@ def test_hetero_replay_throughput(benchmark):
     Expands the realistic trace into two GPU generations (6 pools),
     runs the fleet policy with effective-capacity tracking, and records
     ``replay_hetero`` for the perfreg gate.  This path is pinned to the
-    discrete engine (the fastpath rejects capacity weights), so the
-    floor protects the weighted per-step accounting from regressing."""
+    discrete oracle, so the floor protects its weighted per-step
+    accounting from regressing."""
     from repro.cloud import PriceBook, hetero_catalog, make_hetero_trace
     from repro.cloud.gpus import (
         pool_capacity_weights,
@@ -360,7 +365,8 @@ def test_batched_replay_perf_smoke(benchmark):
     trace = perf_trace()
 
     def replay():
-        replayer = TraceReplayer(trace, ReplayConfig(n_tar=4))
+        # Same engine as the recorded ``replay`` baseline: the oracle.
+        replayer = TraceReplayer(trace, ReplayConfig(n_tar=4), engine="discrete")
         return replayer.run(spothedge(ZONES))
 
     replay()  # warm caches

@@ -153,7 +153,7 @@ def fleet_mix_demo() -> None:
         pool_costs=pool_spot_costs(pools, book),
         pool_weights=config.zone_capacity_weights,
     )
-    result = TraceReplayer(trace, config, engine="discrete").run(policy)
+    result = TraceReplayer(trace, config).run(policy)
 
     print("\nCapacity-weighted A10G+A100 fleet over one aws1 day:")
     print(f"  effective availability: {result.eff_availability:.1%} "

@@ -64,7 +64,7 @@ def _matrix_point(
     config: ReplayConfig,
     use_cache: bool,
     seed: int,
-    engine: str = "discrete",
+    engine: str = "hybrid",
     *,
     scenario: str,
     policy: str,
@@ -243,7 +243,7 @@ def run_matrix(
     workers: int = 1,
     use_cache: bool = True,
     telemetry: Optional[EventBus] = None,
-    engine: str = "discrete",
+    engine: str = "hybrid",
 ) -> ChaosScorecard:
     """Replay every policy × (baseline + scenarios) cell and score it.
 
@@ -252,7 +252,7 @@ def run_matrix(
     errors propagate (a broken matrix must not produce a scorecard).
 
     ``engine`` selects the replay engine for every cell (the chaos
-    overlays' per-step cold-start/price factor rows feed the vectorized
+    overlays' per-step cold-start/price factor rows feed the hybrid
     data plane natively); scorecards are byte-identical across engines,
     and cache entries are shared between them for the same reason.
     """

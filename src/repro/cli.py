@@ -422,7 +422,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _sweep_point(
     trace: SpotTrace,
     use_cache: bool,
-    engine: str = "discrete",
+    engine: str = "hybrid",
     *,
     policy: str = "SpotHedge",
     n_tar: int = 4,
@@ -869,10 +869,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write telemetry events to this JSONL file "
                              "(single policy only)")
     replay.add_argument("--json", help="also write raw results to this JSON file")
-    replay.add_argument("--engine", choices=ENGINES, default="discrete",
-                        help="replay engine; vectorized/hybrid run the numpy "
-                             "fastpath with byte-identical results "
-                             "(default: discrete)")
+    replay.add_argument("--engine", choices=ENGINES, default="hybrid",
+                        help="replay engine; hybrid runs the numpy fastpath, "
+                             "discrete the per-instance oracle, with "
+                             "byte-identical results (default: hybrid)")
     replay.set_defaults(func=_cmd_replay)
 
     sweep = sub.add_parser(

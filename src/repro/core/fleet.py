@@ -22,7 +22,7 @@ import math
 from typing import Mapping, Optional, Sequence
 
 from repro.cloud.gpus import pool_zone
-from repro.core.placement import DynamicSpotPlacer, SpotPlacer
+from repro.core.placement import DynamicSpotPlacer
 from repro.core.spothedge import MixturePolicy
 from repro.serving.policy import MixTarget, Observation
 
@@ -52,17 +52,18 @@ class FleetMixturePolicy(MixturePolicy):
     replacement it just requested.
     """
 
-    #: The weighted planning loop probes ``placer.select_zone`` per
-    #: hypothetical launch; the placer protocol does not promise that
-    #: probe is side-effect-free (RoundRobinPlacer advances a cursor),
-    #: so this policy cannot claim the stationary-decisions contract
-    #: for arbitrary placers.  Heterogeneous replay runs on the
-    #: discrete engine anyway (the fastpath rejects capacity weights).
-    stationary_decisions = False
+    #: The weighted planning loop probes ``placer.select_zone`` once
+    #: per hypothetical launch.  That probe is pure on Alg. 1's
+    #: :class:`DynamicSpotPlacer` (it only reads Z_A and the costs), so
+    #: the policy is stationary — and it accepts no other placer, since
+    #: e.g. ``RoundRobinPlacer`` advances a cursor on every probe.
+    stationary_decisions = True
+
+    placer: DynamicSpotPlacer
 
     def __init__(
         self,
-        placer: SpotPlacer,
+        placer: DynamicSpotPlacer,
         *,
         pool_weights: Mapping[str, float],
         num_overprovision: int = 0,
@@ -72,6 +73,12 @@ class FleetMixturePolicy(MixturePolicy):
         od_zone_costs: Optional[Mapping[str, float]] = None,
         name: Optional[str] = None,
     ) -> None:
+        if not isinstance(placer, DynamicSpotPlacer):
+            raise TypeError(
+                f"FleetMixturePolicy plans through a side-effect-free "
+                f"select_zone and needs a DynamicSpotPlacer, got "
+                f"{type(placer).__name__}"
+            )
         super().__init__(
             placer,
             num_overprovision=num_overprovision,

@@ -240,48 +240,56 @@ class EvenSpreadPlacer(SpotPlacer):
 
     name = "even_spread"
 
-    # set_target writes the same quota for the same observation: safe
-    # to reach from a stationary policy's target_mix.
-    stationary_state = frozenset({"_target"})
+    # set_target writes the same target (and the same memoised quotas)
+    # for the same observation: safe to reach from a stationary
+    # policy's target_mix.
+    stationary_state = frozenset({"_target", "_quotas"})
 
     def __init__(
         self, zones: Sequence[str], zone_costs: Optional[Mapping[str, float]] = None
     ) -> None:
         super().__init__(zones, zone_costs)
         self._target = len(self.zones)
+        self._quotas = self._spread(self._target)
+
+    def _spread(self, n: int) -> dict[str, int]:
+        counts = {z: 0 for z in self.zones}
+        for slot in range(n):
+            counts[self.zones[slot % len(self.zones)]] += 1
+        return counts
 
     def set_target(self, n: int) -> None:
         if n < 0:
             raise ValueError(f"negative target {n}")
-        self._target = n
+        # Policies re-send the same target every step; the quota dict is
+        # rebuilt only when it actually changes.
+        if n != self._target:
+            self._target = n
+            self._quotas = self._spread(n)
 
     def quotas(self) -> dict[str, int]:
         """Fixed per-zone replica quotas for the current target."""
-        counts = {z: 0 for z in self.zones}
-        for slot in range(self._target):
-            counts[self.zones[slot % len(self.zones)]] += 1
-        return counts
+        return dict(self._quotas)
 
     def select_zone(
         self,
         current_placements: Mapping[str, int],
         excluded: AbstractSet[str] = frozenset(),
     ) -> Optional[str]:
-        quotas = self.quotas()
-        candidates = [
-            z
-            for z in self.zones
-            if z not in excluded and current_placements.get(z, 0) < quotas[z]
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda z: (
-                current_placements.get(z, 0) - quotas[z],
-                self.zones.index(z),
-            ),
-        )
+        # The zone furthest below its quota; zone order breaks ties
+        # (only a strictly larger deficit replaces the candidate), and
+        # zones at or above quota are never candidates.
+        quotas = self._quotas
+        get = current_placements.get
+        best: Optional[str] = None
+        best_gap = 0
+        for zone in self.zones:
+            if zone in excluded:
+                continue
+            gap = get(zone, 0) - quotas[zone]
+            if gap < best_gap:
+                best, best_gap = zone, gap
+        return best
 
 
 class RoundRobinPlacer(SpotPlacer):

@@ -14,7 +14,7 @@ graph of the package):
   (``REPRO-D201``–``D203``).
 * :class:`~repro.devtools.flow.parity.ParityPass` (``engine-parity``) —
   diffs the ``ReplayResult``/telemetry write surfaces of the discrete
-  and vectorized/hybrid engines and finds cross-function unordered
+  and hybrid engines and finds cross-function unordered
   iteration (``REPRO-D301``/``D302``).
 
 See ``docs/STATIC_ANALYSIS.md`` ("Interprocedural analysis") for the

@@ -1,7 +1,7 @@
 """Engine-parity surface check (``REPRO-D301``/``D302``).
 
-The discrete oracle (``experiments/replay.py``) and the vectorized /
-hybrid data plane (``experiments/fastpath.py``) promise byte-identical
+The discrete oracle (``experiments/replay.py``) and the hybrid data
+plane (``experiments/fastpath.py``) promise byte-identical
 ``ReplayResult``s and telemetry streams.  The property tests check that
 dynamically on sampled traces; this pass checks the *write surface*
 statically, so a field or event added to one engine and forgotten in
@@ -39,7 +39,7 @@ __all__ = ["DEFAULT_SURFACES", "EngineSurface", "ParityPass", "RULES"]
 SURFACE_RULE = deep_rule(
     "REPRO-D301",
     "engine-parity",
-    "Discrete, vectorized, and hybrid replay paths must produce "
+    "Discrete and hybrid replay paths must produce "
     "byte-identical ReplayResults and telemetry streams; a field or "
     "event written by only one path is a divergence the equivalence "
     "property tests can only catch after the fact, per trace.",

@@ -21,7 +21,7 @@ flow through the package:
   exits between draws.  Regions annotated
   ``# repro: draw-parity[group]: <reason>`` promise identical draw
   skeletons (method, arity, control context) across all group members —
-  how the discrete and vectorized engines pin their victim-sampling
+  how the discrete and hybrid engines pin their victim-sampling
   equivalence statically.
 
 Malformed, unattached, or stale directives are ``REPRO-D100``.

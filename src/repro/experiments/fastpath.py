@@ -1,83 +1,94 @@
-"""Numpy fluid/flow data plane for trace replay — the fast engines.
+"""Fluid/flow data plane for trace replay — the ``hybrid`` engine.
 
 :class:`~repro.experiments.replay.TraceReplayer` dispatches here for
-``engine="vectorized"`` and ``engine="hybrid"``.  Fleet state lives in
-per-zone integer/float arrays instead of per-instance Python objects:
+``engine="hybrid"``, its default.  Spot fleet state lives in per-zone
+integer/float lists instead of per-instance Python objects:
 
-* per-zone parallel arrays of replica ids (sorted ascending — ids are
+* per-zone parallel lists of replica ids (sorted ascending — ids are
   issued monotonically and removals preserve order), ``ready_at``
-  stamps and readiness flags, with per-zone counts alongside;
+  stamps and readiness flags, with per-zone counts and per-zone ready
+  counts alongside;
 * preemption excess straight from ``capacity - count`` row math, with
   victim subsets drawn by the *same* partial Fisher–Yates procedure —
   one ``rng.random(excess)`` batch per preempting zone — so the RNG
   stream consumption matches the discrete oracle draw for draw;
-* readiness promotion via ring buffers bucketed by ready-step: each
-  pending launch is filed under the first step at which its
-  ``ready_at`` has passed, and promotion pops whole buckets instead of
-  polling a queue per step;
+* readiness promotion from a pending queue of ``(ready_at, id, zone)``
+  entries in the oracle's order, with the replica located in its
+  zone's id list by bisection (a missing id means it died);
 * cost accrual via per-step products against the folded price rows
   (static zone multipliers × chaos price factors), accumulated with
   ``np.add.accumulate`` — a strict left fold, so the float result is
-  bit-identical to the discrete ``cost += x`` loop.
+  bit-identical to the discrete ``cost += x`` loop;
+* effective (capacity-weighted) readiness for heterogeneous pools,
+  recomputed from the per-zone ready counts in fixed zone order with
+  the oracle's expression whenever a count changes.
 
-On top of the array stepper sits the hybrid dispatcher: the trace is
-segmented into *churn windows* — steps around capacity crossings,
-policy mix changes and chaos injection edges, which run the exact
-discrete per-step semantics (identical victim-sampling RNG draws,
-identical telemetry events) — and *quiescent windows*, where capacity
-sits comfortably above placements and nothing is pending, which are
-fast-forwarded in closed form: readiness/on-demand series are constant
-slice fills and both cost series advance by a seeded sequential
-accumulate.  A window is quiescent only when the step before it
-completed with *zero* fleet activity (no promotions, preemptions,
-launch attempts, scale-downs or on-demand changes) and the policy
-declares :attr:`~repro.serving.policy.ServingPolicy.stationary_decisions`
-(with no audit log attached), in which case the policy provably makes
-the same no-op decision at every skipped step.  The window ends at the
-earliest of: the next pending-readiness bucket, the next capacity
-crossing below any occupied zone's count (cached ``capacity < count``
-index arrays + ``searchsorted``), or the trace horizon.
+On top of this stepper sits the hybrid dispatcher: steps around
+capacity crossings, policy mix changes and chaos injection edges run
+the exact discrete per-step semantics (identical victim-sampling RNG
+draws, identical telemetry events), and two kinds of window are
+fast-forwarded in closed form — readiness/on-demand/effective series
+are constant fills and both cost series advance by a seeded
+sequential accumulate.  Fast-forwarding requires a policy that declares
+:attr:`~repro.serving.policy.ServingPolicy.stationary_decisions` with no
+audit log attached (:func:`supports_fluid`), so it makes the same
+decision at every skipped step.
 
-Engines:
+* **Quiescent windows.**  The step completed with *zero* fleet activity
+  (no promotions, preemptions, launch attempts, scale-downs or
+  on-demand changes).  The window ends at the earliest of: the step
+  that promotes the next pending replica (:func:`bucket_step`), the
+  next capacity crossing below any occupied zone's count, or the trace
+  horizon.
+* **Shortage windows.**  The step was *failure-only* — its only
+  activity was spot launches that failed for want of capacity — and it
+  is a fixed point: the previous step was failure-only too, with the
+  same ordered tuple of failed zones, and ``pickle.dumps(policy)`` is
+  unchanged across the step.  The pickle covers every attribute
+  (placer zone lists, caches, any RNG state) with no per-policy code,
+  so the next step sees the same state and observation, makes the same
+  launch attempts into the same zones, and they fail again.  The window
+  additionally ends at the first step where a failed zone's capacity
+  rises above its count, and adds ``width × failures per step`` to the
+  launch-failure count.  It needs the telemetry bus disabled (every
+  failure is an event); no RNG is drawn on failure-only steps, so the
+  stream position does not move.  Snapshots are taken only while the
+  failed-zone tuple repeats, and a mismatch (e.g. Alg. 1's Z_A/Z_P
+  rebalance rotating the zone lists) stops them until the tuple
+  changes; a policy that cannot be pickled is stepped one step at a
+  time.
 
-* ``"hybrid"`` — always safe.  Fast-forwards when it can, degrades to
-  exact per-step array stepping when the policy is not stationary
-  (e.g. MArk's sliding prediction window) or a step saw activity.
-* ``"vectorized"`` — the strict fastpath: identical to hybrid but
-  *requires* a fast-forwardable policy and raises ``ValueError``
-  otherwise, so sweeps that depend on the ≥1M steps/s path fail loudly
-  instead of silently degrading.
+Capacity crossings are looked up by run: each zone row is split once
+into runs of equal capacity, and a crossing query checks the row at the
+query step, then bisects the starts of the runs whose value is below
+(or above) the count — memory per run, not per step.
 
-Both produce byte-identical :class:`~repro.experiments.replay.ReplayResult`
-fields (availability, costs, preemption/launch-failure counts, ready
-and on-demand series) and identical telemetry event content to the
-discrete oracle — property-tested in ``tests/properties`` over random
-traces, policies and chaos overlays.  Because results are engine-
-independent, :class:`~repro.experiments.results.ReplayCache` keys do
-not include the engine.
-
-Known caveat: under sustained capacity shortage (total capacity below
-the spot target) the launch loop runs — and fails — every step, so
-every step is a churn step and the hybrid engine converges to the
-array stepper's per-step speed.  Fast-forwarding through that regime
-would require proving the policy/placer state cycles, which is
-deliberately out of scope.
+The result is byte-identical to the discrete oracle on every
+:class:`~repro.experiments.replay.ReplayResult` field (availability,
+costs, preemption/launch-failure counts, ready, on-demand and effective
+series) with identical telemetry event content — property-tested in
+``tests/properties`` over random traces, policies, weights and chaos
+overlays.  Because results are engine-independent,
+:class:`~repro.experiments.results.ReplayCache` keys do not include the
+engine.  ``TraceReplayer.fast_forwarded_steps`` counts the steps a run
+skipped.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from bisect import insort
+import pickle
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from functools import partial
-from heapq import heappop, heappush
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, MutableSequence, Optional, Sequence
 
 import numpy as np
 
 from repro.experiments.replay import (
     _EMPTY_FROZENSET,
+    _PROFILE_STRIDE_MASK,
     ReplayResult,
     _ReplayInstance,
     _ready_order,
@@ -99,6 +110,11 @@ __all__ = ["bucket_step", "run_fastpath", "supports_fluid"]
 
 logger = logging.getLogger(__name__)
 
+#: What ``pickle.dumps`` raises for an object it cannot serialise:
+#: lambdas and local classes raise ``PicklingError``/``AttributeError``,
+#: locks and generators ``TypeError``.
+_PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+
 
 def bucket_step(ready_at: float, step: float) -> int:
     """First step index ``s`` with ``s * step >= ready_at``.
@@ -117,7 +133,7 @@ def bucket_step(ready_at: float, step: float) -> int:
 
 
 def supports_fluid(policy: ServingPolicy) -> bool:
-    """Whether quiescent windows may be fast-forwarded for ``policy``.
+    """Whether windows may be fast-forwarded for ``policy``.
 
     Requires the policy's stationarity declaration *and* no attached
     audit log — ``PolicyAuditLog.touch`` keys on ``obs.now``, so an
@@ -132,23 +148,13 @@ def run_fastpath(
     *,
     spot_zones: Optional[Sequence[str]] = None,
 ) -> ReplayResult:
-    """Replay ``policy`` on the array data plane (vectorized/hybrid)."""
+    """Replay ``policy`` on the hybrid engine's data plane."""
     cfg = replayer.config
     trace = replayer.trace
     bus = replayer.telemetry
     rng = replayer._rng
-    profiler = replayer.profiler
-    prof_enabled = profiler.enabled
 
     fluid_ok = supports_fluid(policy)
-    if replayer.engine == "vectorized" and not fluid_ok:
-        raise ValueError(
-            f"policy {policy.name!r} cannot run on the strict vectorized "
-            f"engine: it does not declare stationary_decisions (or has an "
-            f"audit log attached), so quiescent windows cannot be "
-            f"fast-forwarded — use engine='hybrid' for exact per-step "
-            f"processing with opportunistic fast-forwarding"
-        )
 
     zones = list(spot_zones) if spot_zones is not None else list(trace.zone_ids)
     n_zones = len(zones)
@@ -158,39 +164,54 @@ def run_fastpath(
     base_d = cfg.cold_start
     d = base_d
     chaos_cs = replayer._cold_start_factors
-    # Capacity rows both ways: numpy rows feed the crossing queries and
-    # plain int lists feed scalar indexing on churn steps (boxing a
-    # numpy scalar per access costs ~100 ns).
-    caps_np = [np.ascontiguousarray(trace.zone_row(zone)) for zone in zones]
-    caps_list: list[list[int]] = [row.tolist() for row in caps_np]
+    # Capacity rows as plain int lists for scalar indexing on churn
+    # steps (boxing a numpy scalar per access costs ~100 ns), and as
+    # runs of equal value — (start step, capacity) pairs — for the
+    # crossing queries.
+    caps_list: list[list[int]] = []
+    run_starts: list[np.ndarray] = []
+    run_values: list[np.ndarray] = []
+    for zone in zones:
+        row = np.asarray(trace.zone_row(zone))
+        caps_list.append(row.tolist())
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(row)) + 1))
+        run_starts.append(starts)
+        run_values.append(row[starts])
 
-    # Per-zone array fleet (amortised-doubling storage).  Ids ascend
-    # within each zone, so bucket promotions locate entries by
-    # searchsorted and a missing id means the replica died.
-    fleet_cap = 8
-    z_ids = [np.zeros(fleet_cap, dtype=np.int64) for _ in range(n_zones)]
-    z_ready_at = [np.zeros(fleet_cap) for _ in range(n_zones)]
-    z_ready = [np.zeros(fleet_cap, dtype=bool) for _ in range(n_zones)]
+    # Per-zone parallel fleet lists (a zone holds a handful of
+    # replicas, where plain lists beat numpy calls).  Ids ascend within
+    # each zone, so promotions locate entries by bisection and a
+    # missing id means the replica died.
+    z_ids: list[list[int]] = [[] for _ in range(n_zones)]
+    z_ready_at: list[list[float]] = [[] for _ in range(n_zones)]
+    z_ready: list[list[bool]] = [[] for _ in range(n_zones)]
     sizes = [0] * n_zones
+    zone_ready = [0] * n_zones
     spot_total = 0
     spot_ready = 0
 
-    # Pending-readiness ring buffers: ready-step -> [(zone_idx, id)].
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    bucket_heap: list[int] = []
-
     # The on-demand fleet reuses the oracle's object representation
-    # verbatim — on-demand churn is rare and always obtainable, so the
-    # arrays buy nothing and sharing the code shares its semantics.
+    # verbatim — on-demand capacity is always obtainable, so sharing
+    # the code shares its semantics.
     od: list[_ReplayInstance] = []
     od_ready = 0
+    # Pending queues ordered like the oracle's: FIFO under a constant
+    # cold start, sorted by (ready_at, id) under a chaos overlay.
+    pending_spot: MutableSequence[tuple[float, int, int]]
+    pending_od: MutableSequence[_ReplayInstance]
     if chaos_cs is None:
-        pending_od: list[_ReplayInstance] | deque[_ReplayInstance] = deque()
+        pending_spot = deque()
+        pending_od = deque()
+        push_spot = pending_spot.append
         push_od = pending_od.append
+        pop_spot = pending_spot.popleft
         pop_od = pending_od.popleft
     else:
+        pending_spot = []
         pending_od = []
+        push_spot = partial(insort, pending_spot)
         push_od = partial(insort, pending_od, key=_ready_order)
+        pop_spot = partial(pending_spot.pop, 0)
         pop_od = partial(pending_od.pop, 0)
 
     # Price rows folded exactly as the discrete engine folds them, kept
@@ -212,28 +233,57 @@ def run_fastpath(
             price_rows.append(row)
             price_np.append(np.asarray(row))
 
-    # capacity-crossing cache: (zone_idx, count) -> sorted step indices
-    # where that zone's capacity sits below ``count``.
-    below_cache: dict[tuple[int, int], np.ndarray] = {}
+    # Capacity weights (heterogeneous pools): the effective series is
+    # only tracked when weights are set, exactly like the oracle.
+    weights = cfg.zone_capacity_weights
+    track_eff = weights is not None
+    zone_weight = [float(weights.get(z, 1.0)) for z in zones] if weights is not None else []
+    eff = 0.0
 
-    def next_crossing(zi: int, count: int, after: int) -> int:
-        key = (zi, count)
-        arr = below_cache.get(key)
-        if arr is None:
-            arr = np.flatnonzero(caps_np[zi] < count)
-            below_cache[key] = arr
-        pos = int(np.searchsorted(arr, after))
-        return int(arr[pos]) if pos < len(arr) else n_steps
+    # (zone_idx, count, rise) -> starts of the runs whose capacity sits
+    # below ``count`` (above it when ``rise``), as a list for bisect.
+    run_cache: dict[tuple[int, int, bool], list[int]] = {}
+
+    def next_crossing(zi: int, count: int, after: int, rise: bool) -> int:
+        """First step ``>= after`` whose capacity is below ``count``
+        (above it when ``rise``), or ``n_steps``."""
+        if after >= n_steps:
+            return n_steps
+        cap = caps_list[zi][after]
+        if cap > count if rise else cap < count:
+            return after
+        key = (zi, count, rise)
+        starts = run_cache.get(key)
+        if starts is None:
+            values = run_values[zi]
+            starts = run_starts[zi][values > count if rise else values < count].tolist()
+            run_cache[key] = starts
+        # The run holding ``after`` does not qualify, so the answer is
+        # the first qualifying run that starts later.
+        pos = bisect_right(starts, after)
+        return starts[pos] if pos < len(starts) else n_steps
 
     hours = step / 3600.0
     preemptions = 0
     launch_failures = 0
     spot_cost = 0.0
     od_cost = 0.0
-    ready_series = np.zeros(n_steps, dtype=int)
-    od_series = np.zeros(n_steps, dtype=int)
+    # Per-step series as lists (a list append beats a numpy store);
+    # fast-forwarded windows extend them by repetition.
+    ready_list: list[int] = []
+    od_list: list[int] = []
+    eff_list: list[float] = []
     prev_ready = -1
     next_id = 0
+    fast_forwarded = 0
+
+    # Shortage fast-forward state: the failed-zone tuple of the previous
+    # step when it was failure-only, the policy snapshot taken while
+    # that tuple repeats, and whether snapshots are worth taking.
+    stall_key: Optional[tuple[str, ...]] = None
+    snapshot: Optional[bytes] = None
+    snap_armed = False
+    picklable = True
 
     on_preempted = policy.on_spot_preempted
     on_ready = policy.on_spot_ready
@@ -243,9 +293,16 @@ def run_fastpath(
     n_tar = cfg.n_tar
     max_attempts = cfg.max_launch_attempts_per_step
 
+    # Profiler locals, as in the oracle: every (mask+1)-th loop
+    # iteration is timed phase by phase.  An iteration is one processed
+    # step plus the window it fast-forwards, whose time is accrual.
+    profiler = replayer.profiler
+    prof_enabled = profiler.enabled
     prof_clock = profiler.clock
-    fluid_time = 0.0
-    t_run = prof_clock() if prof_enabled else 0.0
+    prof_acc = profiler.accumulate if prof_enabled else None
+    stride_mask = _PROFILE_STRIDE_MASK
+    t_mark = 0.0
+    iteration = 0
 
     logger.info(
         "replaying %s over %s (%d steps, %s engine)",
@@ -259,28 +316,35 @@ def run_fastpath(
     while k < n_steps:
         now = k * step
         bus_enabled = bus.enabled
+        do_profile = prof_enabled and (iteration & stride_mask) == 0
+        iteration += 1
+        if do_profile:
+            t_mark = prof_clock()
         if chaos_cs is not None:
             d = base_d * chaos_cs[k]
         activity = False
 
-        # 0. Promote pending replicas whose ready step has arrived.
-        # Bucket pops replace the oracle's queue polling; entries whose
-        # id is gone from the zone arrays died in the meantime.
-        while bucket_heap and bucket_heap[0] <= k:
-            for zi, rid in buckets.pop(heappop(bucket_heap)):
-                n_i = sizes[zi]
-                ids_i = z_ids[zi]
-                pos = int(np.searchsorted(ids_i[:n_i], rid))
-                if pos < n_i and ids_i[pos] == rid and not z_ready[zi][pos]:
-                    z_ready[zi][pos] = True
-                    spot_ready += 1
-                    activity = True
+        # 0. Promote pending replicas whose cold start has elapsed;
+        # entries whose id is gone from their zone died meanwhile.
+        while pending_spot and pending_spot[0][0] <= now:
+            _, rid, zi = pop_spot()
+            ids_i = z_ids[zi]
+            pos = bisect_left(ids_i, rid)
+            if pos < sizes[zi] and ids_i[pos] == rid:
+                z_ready[zi][pos] = True
+                spot_ready += 1
+                zone_ready[zi] += 1
+                activity = True
         while pending_od and pending_od[0].ready_at <= now:
             inst = pop_od()
             if inst.alive:
                 inst.ready = True
                 od_ready += 1
                 activity = True
+        if do_profile:
+            t_now = prof_clock()
+            prof_acc("replay.promote", t_now - t_mark)
+            t_mark = t_now
 
         # 1. Preemptions from capacity - count row math; victim subsets
         # drawn by the identical partial Fisher–Yates procedure (and
@@ -308,19 +372,20 @@ def run_fastpath(
             for pos in victim_positions:
                 if rd_i[pos]:
                     spot_ready -= 1
+                    zone_ready[zi] -= 1
                 preemptions += 1
                 if bus_enabled:
-                    bus.emit(ReplicaPreempted(now, int(ids_i[pos]), zone, True))
+                    bus.emit(ReplicaPreempted(now, ids_i[pos], zone, True))
                 on_preempted(zone)
-            remaining = count - excess
-            if remaining:
-                keep = np.ones(count, dtype=bool)
-                keep[list(victim_positions)] = False
-                ids_i[:remaining] = ids_i[:count][keep]
-                z_ready_at[zi][:remaining] = z_ready_at[zi][:count][keep]
-                rd_i[:remaining] = rd_i[:count][keep]
-            sizes[zi] = remaining
+            ra_i = z_ready_at[zi]
+            for pos in victim_positions:  # descending: later deletions stay valid
+                del ids_i[pos], ra_i[pos], rd_i[pos]
+            sizes[zi] = count - excess
             spot_total -= excess
+        if do_profile:
+            t_now = prof_clock()
+            prof_acc("replay.preempt", t_now - t_mark)
+            t_mark = t_now
 
         # 2. Observe and ask the policy for targets.
         ready_spot_obs = spot_ready
@@ -336,18 +401,22 @@ def run_fastpath(
             {zones[i]: sizes[i] for i in range(n_zones) if sizes[i]},
         )
         mix = target_mix(obs)
+        if do_profile:
+            t_now = prof_clock()
+            prof_acc("replay.policy", t_now - t_mark)
+            t_mark = t_now
 
         # 3. Reconcile the spot fleet — the loop is line-for-line the
-        # oracle's, over array state.  Entering it at all (even for a
-        # fruitless attempt) counts as activity: selection may mutate
-        # placer state (e.g. round-robin rotation), so skipped steps
-        # must be steps where the oracle would not have called it.
+        # oracle's, over the per-zone lists.  ``tried`` records that the
+        # loop was entered at all: selection may mutate placer state
+        # (e.g. round-robin rotation), so a step that tried is never
+        # quiescent, only possibly failure-only.
         spot_target = mix.spot_target
         counted = spot_total if mix.count_provisioning_spot else ready_spot_obs
-        if counted < spot_target:
-            activity = True
+        tried = counted < spot_target
         attempts = 0
         failed_zones: set[str] = set()
+        failed_order: list[str] = []
         excluded = _EMPTY_FROZENSET
         obs_now: Optional[Observation] = obs
         while counted < spot_target and attempts < max_attempts:
@@ -368,27 +437,17 @@ def run_fastpath(
             zi = zone_index[zone]  # KeyError for unknown zones, like the oracle
             n_i = sizes[zi]
             if n_i < caps_list[zi][k]:
+                activity = True
                 next_id += 1
-                if n_i == len(z_ids[zi]):
-                    for arrs in (z_ids, z_ready_at, z_ready):
-                        grown = np.zeros(2 * n_i, dtype=arrs[zi].dtype)
-                        grown[:n_i] = arrs[zi]
-                        arrs[zi] = grown
                 ready_at = now + d
-                z_ids[zi][n_i] = next_id
-                z_ready_at[zi][n_i] = ready_at
+                z_ids[zi].append(next_id)
+                z_ready_at[zi].append(ready_at)
+                z_ready[zi].append(d <= 0)
                 if d <= 0:
-                    z_ready[zi][n_i] = True
                     spot_ready += 1
+                    zone_ready[zi] += 1
                 else:
-                    z_ready[zi][n_i] = False
-                    s = bucket_step(ready_at, step)
-                    bucket = buckets.get(s)
-                    if bucket is None:
-                        buckets[s] = [(zi, next_id)]
-                        heappush(bucket_heap, s)
-                    else:
-                        bucket.append((zi, next_id))
+                    push_spot((ready_at, next_id, zi))
                 sizes[zi] = n_i + 1
                 spot_total += 1
                 if bus_enabled:
@@ -399,6 +458,7 @@ def run_fastpath(
             else:
                 launch_failures += 1
                 failed_zones.add(zone)
+                failed_order.append(zone)
                 excluded = frozenset(failed_zones)
                 if bus_enabled:
                     bus.emit(ReplicaLaunchFailed(now, -1, zone, True))
@@ -416,20 +476,18 @@ def run_fastpath(
                 n_i = sizes[zi]
                 if n_i == 0:
                     continue
-                ra_i = z_ready_at[zi][:n_i]
-                pos = n_i - 1 - int(np.argmax(ra_i[::-1]))
-                ra_v = float(ra_i[pos])
-                id_v = int(z_ids[zi][pos])
+                ra_i = z_ready_at[zi]
+                ra_v = max(ra_i)
+                pos = n_i - 1 - ra_i[::-1].index(ra_v)
+                id_v = z_ids[zi][pos]
                 if ra_v > best_ra or (ra_v == best_ra and id_v > best_id):
                     best_ra, best_id, best_zi, best_pos = ra_v, id_v, zi, pos
             zi, pos = best_zi, best_pos
-            n_i = sizes[zi]
             if z_ready[zi][pos]:
                 spot_ready -= 1
-            z_ids[zi][pos : n_i - 1] = z_ids[zi][pos + 1 : n_i].copy()
-            z_ready_at[zi][pos : n_i - 1] = z_ready_at[zi][pos + 1 : n_i].copy()
-            z_ready[zi][pos : n_i - 1] = z_ready[zi][pos + 1 : n_i].copy()
-            sizes[zi] = n_i - 1
+                zone_ready[zi] -= 1
+            del z_ids[zi][pos], z_ready_at[zi][pos], z_ready[zi][pos]
+            sizes[zi] -= 1
             spot_total -= 1
             if bus_enabled:
                 bus.emit(ReplicaTerminated(now, best_id, zones[zi], True, "scale_down"))
@@ -450,6 +508,10 @@ def run_fastpath(
             victim.alive = False
             if victim.ready:
                 od_ready -= 1
+        if do_profile:
+            t_now = prof_clock()
+            prof_acc("replay.reconcile", t_now - t_mark)
+            t_mark = t_now
 
         # 5. Accrue cost and record readiness — same fold order and
         # expressions as the oracle, so the floats agree bit for bit.
@@ -470,75 +532,127 @@ def run_fastpath(
         if bus_enabled and (k == 0 or total_ready != prev_ready):
             bus.emit(FleetSample(now, total_ready, n_tar))
         prev_ready = total_ready
-        ready_series[k] = total_ready
-        od_series[k] = len(od)
+        ready_list.append(total_ready)
+        od_list.append(len(od))
+        if track_eff:
+            if activity:
+                # Every ready-count change is activity; otherwise the
+                # weighted sum is the previous step's.
+                eff = float(od_ready)
+                for zi in range(n_zones):
+                    count = zone_ready[zi]
+                    if count:
+                        eff += zone_weight[zi] * count
+            eff_list.append(eff)
 
+        # 6. Fast-forward the steps that provably repeat this one.
+        after = k + 1
+        nxt = after
         if activity or not fluid_ok:
-            k += 1
-            continue
-
-        # Quiescent window: this step completed with zero fleet
-        # activity under a stationary policy, so every step until the
-        # next pending-readiness bucket or capacity crossing repeats
-        # the same no-op decision — fast-forward it in closed form.
-        nxt = bucket_heap[0] if bucket_heap else n_steps
-        if pending_od:
-            od_bucket = bucket_step(pending_od[0].ready_at, step)
-            if od_bucket < nxt:
-                nxt = od_bucket
-        for zi in range(n_zones):
-            count = sizes[zi]
-            if count:
-                crossing = next_crossing(zi, count, k + 1)
-                if crossing < nxt:
-                    nxt = crossing
-        if nxt > n_steps:
-            nxt = n_steps
-        if nxt <= k + 1:
-            k += 1
-            continue
-        t_fluid = prof_clock() if prof_enabled else 0.0
-        lo, hi = k + 1, nxt
-        width = hi - lo
-        ready_series[lo:hi] = total_ready
-        od_series[lo:hi] = len(od)
-        # Seeded sequential accumulate: buf[0] carries the running
-        # total and np.add.accumulate applies the per-step adds in
-        # order — the exact float left fold of the discrete loop.
-        buf = np.empty(width + 1)
-        if price_np is not None:
-            contrib = np.zeros(width)
-            for i in range(n_zones):
-                if sizes[i]:
-                    contrib = contrib + sizes[i] * price_np[i][lo:hi]
-            buf[1:] = contrib * hours
-        elif multipliers:
-            buf[1:] = (
-                sum(sizes[i] * mult_by_zone[i] for i in range(n_zones) if sizes[i])
-                * hours
-            )
+            stall_key = None
         else:
-            buf[1:] = spot_total * hours
-        buf[0] = spot_cost
-        np.add.accumulate(buf, out=buf)
-        spot_cost = float(buf[-1])
-        buf[0] = od_cost
-        buf[1:] = len(od) * cfg.k * hours
-        np.add.accumulate(buf, out=buf)
-        od_cost = float(buf[-1])
-        if prof_enabled:
-            fluid_time += prof_clock() - t_fluid
+            shortage = False
+            if not tried:
+                # Quiescent: the same no-op decision repeats until the
+                # next promotion or capacity crossing.
+                stall_key = None
+                nxt = n_steps
+            else:
+                # Failure-only: a candidate fixed point once the
+                # failed-zone tuple repeats; the failures repeat until a
+                # failed zone gains capacity.
+                key = tuple(failed_order)
+                if key != stall_key:
+                    stall_key = key
+                    snapshot = None
+                    snap_armed = True
+                elif snap_armed and picklable and not bus_enabled:
+                    shortage = True
+                    nxt = n_steps
+                    for zone in key:
+                        zi = zone_index[zone]
+                        nxt = min(nxt, next_crossing(zi, sizes[zi], after, True))
+            # Bound the window; churn usually ends it at the very next
+            # step, so stop looking once it cannot get any shorter.
+            for zi in range(n_zones):
+                count = sizes[zi]
+                if count and nxt > after:
+                    nxt = min(nxt, next_crossing(zi, count, after, False))
+            if pending_spot and nxt > after:
+                nxt = min(nxt, bucket_step(pending_spot[0][0], step))
+            if pending_od and nxt > after:
+                nxt = min(nxt, bucket_step(pending_od[0].ready_at, step))
+            if shortage:
+                # Confirm the fixed point: the policy left this step
+                # exactly as it entered it (the snapshot holds its state
+                # after the previous step).  Snapshots are only worth
+                # taking while a window could follow.
+                if nxt == after:
+                    snapshot = None
+                else:
+                    try:
+                        snap = pickle.dumps(policy, pickle.HIGHEST_PROTOCOL)
+                    except _PICKLE_ERRORS:
+                        picklable = False
+                        nxt = after
+                    else:
+                        if snap != snapshot:
+                            if snapshot is None:
+                                snapshot = snap
+                            else:
+                                # Stop until the tuple changes.
+                                snap_armed = False
+                            nxt = after
+            if nxt > after:
+                # Fill steps after..nxt-1 in closed form.
+                width = nxt - after
+                ready_list += [total_ready] * width
+                od_list += [len(od)] * width
+                if track_eff:
+                    eff_list += [eff] * width
+                # Seeded sequential accumulate: buf[0] carries the
+                # running total and np.add.accumulate applies the
+                # per-step adds in order — the exact float left fold of
+                # the discrete loop.
+                buf = np.empty(width + 1)
+                if price_np is not None:
+                    contrib = np.zeros(width)
+                    for i in range(n_zones):
+                        if sizes[i]:
+                            contrib = contrib + sizes[i] * price_np[i][after:nxt]
+                    buf[1:] = contrib * hours
+                elif multipliers:
+                    buf[1:] = (
+                        sum(sizes[i] * mult_by_zone[i] for i in range(n_zones) if sizes[i])
+                        * hours
+                    )
+                else:
+                    buf[1:] = spot_total * hours
+                buf[0] = spot_cost
+                np.add.accumulate(buf, out=buf)
+                spot_cost = float(buf[-1])
+                buf[0] = od_cost
+                buf[1:] = len(od) * cfg.k * hours
+                np.add.accumulate(buf, out=buf)
+                od_cost = float(buf[-1])
+                launch_failures += width * len(failed_order)
+                fast_forwarded += width
+        if do_profile:
+            prof_acc("replay.accrue", prof_clock() - t_mark)
         k = nxt
 
-    if prof_enabled:
-        profiler.accumulate("replay.fastpath", prof_clock() - t_run)
-        profiler.accumulate("replay.fastpath.fluid", fluid_time)
-
     replayer._next_id = next_id
+    replayer.fast_forwarded_steps = fast_forwarded
     if bus.enabled:
         end = n_steps * step
         bus.emit(CostSnapshot(end, spot_cost, od_cost, spot_cost + od_cost))
     baseline = cfg.k * cfg.n_tar * (n_steps * step / 3600.0)
+    ready_series = np.asarray(ready_list, dtype=int)
+    eff_series: Optional[np.ndarray] = None
+    eff_availability: Optional[float] = None
+    if track_eff:
+        eff_series = np.asarray(eff_list, dtype=float)
+        eff_availability = float((eff_series >= cfg.n_tar).mean())
     return ReplayResult(
         policy=policy.name,
         trace=trace.name,
@@ -551,10 +665,7 @@ def run_fastpath(
         launch_failures=launch_failures,
         ready_series=ready_series,
         step=step,
-        od_series=od_series,
-        # The fastpath rejects zone_capacity_weights up front (run()
-        # raises before dispatching here), so the effective-capacity
-        # fields are always untracked on this engine path.
-        eff_ready_series=None,
-        eff_availability=None,
+        od_series=np.asarray(od_list, dtype=int),
+        eff_ready_series=eff_series,
+        eff_availability=eff_availability,
     )

@@ -18,7 +18,7 @@ therefore cost versus holding ``n_tar`` reference on-demand replicas —
 directly comparable across fleets.
 
 Results are plain :class:`~repro.experiments.replay.ReplayResult`\\ s
-produced by the discrete engine with
+produced by the default (hybrid) replay engine with
 ``zone_capacity_weights``/``zone_price_multipliers`` set, cached
 through :class:`~repro.experiments.results.ReplayCache`, swept with
 :func:`~repro.experiments.sweep.grid_sweep`, and serialised by
@@ -89,7 +89,7 @@ def run_fleet(
     (:func:`~repro.cloud.gpus.make_hetero_trace`, gating seeded by
     ``seed``), SpotHedge is built with the co-optimised
     cost-per-effective-throughput signal, and the replay runs on the
-    discrete engine with capacity weights and per-pool prices in
+    default engine with capacity weights and per-pool prices in
     reference units.  ``duration`` (seconds) optionally windows the
     base trace from its start — the CI smoke uses a few hours.
     """
@@ -130,7 +130,7 @@ def run_fleet(
         pool_weights=config.zone_capacity_weights,
         name=policy_name,
     )
-    replayer = TraceReplayer(trace, config, seed=seed, engine="discrete")
+    replayer = TraceReplayer(trace, config, seed=seed)
     result = replayer.run(policy)
     if cache is not None:
         cache.put(key, result)

@@ -20,11 +20,12 @@ and scale-down selects its victim with a single max-scan instead of
 sorting the fleet per termination.  :func:`estimate_latency` is fully
 vectorised — O(steps + requests) instead of O(requests × steps).
 
-For sweeps at trace scale, :class:`TraceReplayer` accepts
-``engine="vectorized"`` or ``engine="hybrid"`` to dispatch to the
-numpy fluid/flow data plane in :mod:`repro.experiments.fastpath`,
-which is property-tested byte-identical to this discrete loop (the
-oracle) on every :class:`ReplayResult` field.
+:class:`TraceReplayer` runs on the ``hybrid`` engine by default: the
+numpy fluid/flow data plane in :mod:`repro.experiments.fastpath`, which
+fast-forwards quiescent and capacity-shortage windows and is
+property-tested byte-identical to the discrete loop below on every
+:class:`ReplayResult` field.  ``engine="discrete"`` selects that loop,
+the per-instance oracle.
 """
 
 from __future__ import annotations
@@ -65,12 +66,13 @@ __all__ = [
 ]
 
 #: Replay engines accepted by :class:`TraceReplayer`.  ``discrete`` is
-#: the per-instance oracle below; ``vectorized`` and ``hybrid`` run the
-#: numpy data plane in :mod:`repro.experiments.fastpath` (``vectorized``
-#: demands a fast-forwardable policy and raises otherwise, ``hybrid``
-#: degrades to exact per-step processing when it cannot skip).  All
-#: three produce byte-identical :class:`ReplayResult` objects.
-ENGINES: tuple[str, ...] = ("discrete", "vectorized", "hybrid")
+#: the per-instance oracle below; ``hybrid`` (the default) runs the
+#: numpy data plane in :mod:`repro.experiments.fastpath`, fast-forwarding
+#: whatever windows it can prove repeat and stepping exactly otherwise.
+#: Both produce byte-identical :class:`ReplayResult` objects for every
+#: config; ``TraceReplayer.fast_forwarded_steps`` reports how many steps
+#: a hybrid run skipped.
+ENGINES: tuple[str, ...] = ("discrete", "hybrid")
 
 logger = logging.getLogger(__name__)
 
@@ -111,8 +113,7 @@ class ReplayConfig:
     #: weighted ready capacity per step — and reports
     #: ``eff_availability``/``eff_ready_series``; zones absent from the
     #: mapping weigh 1.0.  ``None`` (the default) leaves the replay
-    #: loop byte-identical to the unweighted code.  Only the discrete
-    #: engine supports weights.
+    #: loop byte-identical to the unweighted code.
     zone_capacity_weights: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
@@ -196,7 +197,7 @@ class TraceReplayer:
         profiler: Optional[PhaseProfiler] = None,
         cold_start_factors: Optional[Sequence[float]] = None,
         zone_price_factors: Optional[Mapping[str, Sequence[float]]] = None,
-        engine: str = "discrete",
+        engine: str = "hybrid",
     ) -> None:
         if engine not in ENGINES:
             raise ValueError(
@@ -214,6 +215,9 @@ class TraceReplayer:
             # record that on the profiler so reports flag the stats.
             self.profiler.stride = _PROFILE_STRIDE_MASK + 1
         self._next_id = 0
+        #: Steps the last ``run()`` fast-forwarded instead of stepping
+        #: (always 0 on the discrete engine).
+        self.fast_forwarded_steps = 0
         # Chaos overlay hooks (repro.chaos.overlay): per-step cold-start
         # multipliers and per-zone per-step spot price multipliers.  Both
         # default to None so the no-chaos replay path is untouched.
@@ -250,13 +254,8 @@ class TraceReplayer:
         # RNG stream and continued the replica-id sequence.
         self._rng = RngRegistry(self._seed).stream("replay")
         self._next_id = 0
+        self.fast_forwarded_steps = 0
         if self.engine != "discrete":
-            if self.config.zone_capacity_weights is not None:
-                raise ValueError(
-                    f"engine {self.engine!r} does not support "
-                    "zone_capacity_weights; heterogeneous replays run on "
-                    "the discrete engine"
-                )
             from repro.experiments.fastpath import run_fastpath
 
             return run_fastpath(self, policy, spot_zones=spot_zones)

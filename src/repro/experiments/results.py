@@ -150,9 +150,8 @@ class ReplayCache:
     seed.  Anything that changes any of those produces a different key,
     so stale hits are impossible; re-running a figure script recomputes
     only invalidated points.  The replay *engine* is deliberately not
-    part of the key: discrete, vectorized and hybrid replays are
-    byte-identical by contract (property-tested), so entries are shared
-    across engines.
+    part of the key: discrete and hybrid replays are byte-identical by
+    contract (property-tested), so entries are shared across engines.
 
     The cache directory is ``$REPRO_CACHE_DIR`` when set, else
     ``~/.cache/repro/replay``.  One JSON file per entry, written

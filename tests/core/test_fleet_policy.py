@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import DynamicSpotPlacer, FleetMixturePolicy, hetero_spothedge
+from repro.core.placement import RoundRobinPlacer
 from repro.core.spothedge import MixturePolicy
 from repro.serving.policy import Observation
 
@@ -230,8 +231,10 @@ class TestFactory:
         assert policy.name == "fleet-test"
         assert policy.num_overprovision == 2
 
-    def test_not_stationary(self):
-        # The weighted planning loop probes select_zone, which the
-        # placer protocol allows to be stateful — the fastpath must not
-        # fast-forward this policy.
-        assert FleetMixturePolicy.stationary_decisions is False
+    def test_stationary_and_dynamic_placer_only(self):
+        # The weighted planning loop probes select_zone, which is pure
+        # on Alg. 1's placer, so the fastpath may fast-forward the
+        # policy; a placer whose probe has side effects is refused.
+        assert FleetMixturePolicy.stationary_decisions is True
+        with pytest.raises(TypeError, match="DynamicSpotPlacer"):
+            FleetMixturePolicy(RoundRobinPlacer(POOLS, COSTS), pool_weights=WEIGHTS)

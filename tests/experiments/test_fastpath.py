@@ -1,8 +1,10 @@
-"""Unit tests for the vectorized/hybrid replay engines.
+"""Unit tests for the hybrid replay engine.
 
-The contract under test: every engine produces *byte-identical*
-:class:`ReplayResult` fields and telemetry event content, consuming the
-same RNG stream — the discrete loop stays the oracle.
+The contract under test: the hybrid engine produces *byte-identical*
+:class:`ReplayResult` fields and telemetry event content to the
+discrete loop — the oracle, always selected explicitly — consuming the
+same RNG stream, and fast-forwards wherever it can prove the skipped
+steps repeat.
 """
 
 import numpy as np
@@ -12,7 +14,8 @@ from repro.baselines import ASGPolicy, AWSSpotPolicy, MArkPolicy, SingleZonePoli
 from repro.chaos import BUILTIN_SCENARIOS, builtin_scenario, compile_scenario
 from repro.cloud import SpotTrace
 from repro.cloud.traces import aws1, aws2, aws3, cpu_trace, gcp1
-from repro.core import OnDemandOnlyPolicy, round_robin_policy, spothedge
+from repro.core import OnDemandOnlyPolicy, even_spread_policy, round_robin_policy, spothedge
+from repro.core.placement import EvenSpreadPlacer
 from repro.core.spothedge import MixturePolicy
 from repro.experiments import ENGINES, ReplayConfig, TraceReplayer
 from repro.experiments.fastpath import bucket_step, supports_fluid
@@ -23,6 +26,8 @@ from repro.telemetry.sinks import RingBufferSink
 
 Z1, Z2, Z3 = "aws:r1:r1a", "aws:r1:r1b", "aws:r2:r2a"
 ZONES = [Z1, Z2, Z3]
+#: Every engine checked against the discrete oracle.
+FAST_ENGINES = [engine for engine in ENGINES if engine != "discrete"]
 
 def trace_with(rows, step=60.0, name="fastpath-test"):
     return SpotTrace(name, ZONES, step, np.asarray(rows))
@@ -57,21 +62,31 @@ class TestEngineSelection:
             TraceReplayer(aws1(), engine="fluid")
 
     def test_engines_constant(self):
-        assert ENGINES == ("discrete", "vectorized", "hybrid")
+        assert ENGINES == ("discrete", "hybrid")
+        assert TraceReplayer(aws1()).engine == "hybrid"
 
-    def test_vectorized_requires_stationary_policy(self):
+    def test_non_stationary_policy_never_fast_forwards(self):
         trace = aws1()
-        replayer = TraceReplayer(trace, engine="vectorized")
-        with pytest.raises(ValueError, match="stationary_decisions"):
-            replayer.run(MArkPolicy(trace.zone_ids))
+        replayer = TraceReplayer(trace)
+        replayer.run(MArkPolicy(trace.zone_ids))
+        assert replayer.fast_forwarded_steps == 0
 
-    def test_vectorized_rejects_audited_policy(self):
+    def test_audited_policy_never_fast_forwards(self):
         trace = aws1()
         policy = spothedge(trace.zone_ids)
         policy.attach_audit(PolicyAuditLog())
         assert not supports_fluid(policy)
-        with pytest.raises(ValueError, match="audit"):
-            TraceReplayer(trace, engine="vectorized").run(policy)
+        replayer = TraceReplayer(trace)
+        replayer.run(policy)
+        assert replayer.fast_forwarded_steps == 0
+
+    def test_fast_forwarded_steps_reset_per_run(self):
+        trace = aws1()
+        replayer = TraceReplayer(trace)
+        replayer.run(spothedge(trace.zone_ids))
+        assert 0 < replayer.fast_forwarded_steps < trace.n_steps
+        replayer.run(MArkPolicy(trace.zone_ids))
+        assert replayer.fast_forwarded_steps == 0
 
     def test_hybrid_accepts_non_stationary_policy(self):
         trace = aws1()
@@ -91,7 +106,7 @@ class TestEngineSelection:
 class TestBundledTraceEquivalence:
     @pytest.mark.parametrize("trace_factory", [aws1, aws2, aws3, gcp1, cpu_trace])
     @pytest.mark.parametrize("policy", POLICIES.names())
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_byte_identical_on_bundled_traces(self, trace_factory, policy, engine):
         trace = trace_factory()
         factory = POLICIES.get(policy)
@@ -99,19 +114,21 @@ class TestBundledTraceEquivalence:
         got = replay(trace, factory, engine)
         assert_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_identical_rng_stream_consumption(self, engine):
         # After a replay, the *next* draw from the stream must agree —
         # i.e. both engines consumed exactly the same draws.
         trace = aws3()
-        ref_replayer = TraceReplayer(trace, ReplayConfig(n_tar=4), seed=9)
+        ref_replayer = TraceReplayer(
+            trace, ReplayConfig(n_tar=4), seed=9, engine="discrete"
+        )
         ref_replayer.run(spothedge(trace.zone_ids))
         fast_replayer = TraceReplayer(trace, ReplayConfig(n_tar=4), seed=9, engine=engine)
         fast_replayer.run(spothedge(trace.zone_ids))
         assert ref_replayer._rng.random() == fast_replayer._rng.random()
         assert ref_replayer._next_id == fast_replayer._next_id
 
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_baseline_policies_match(self, engine):
         trace = aws1()  # single-region: ASG rejects multi-region zones
         for factory in (
@@ -123,12 +140,12 @@ class TestBundledTraceEquivalence:
             got = replay(trace, factory, engine)
             assert_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_spot_zones_subset(self, engine):
         trace = aws1()
         subset = list(trace.zone_ids[:2])
         config = ReplayConfig(n_tar=3)
-        ref = TraceReplayer(trace, config, seed=1).run(
+        ref = TraceReplayer(trace, config, seed=1, engine="discrete").run(
             spothedge(subset), spot_zones=subset
         )
         got = TraceReplayer(trace, config, seed=1, engine=engine).run(
@@ -136,7 +153,7 @@ class TestBundledTraceEquivalence:
         )
         assert_identical(ref, got)
 
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_zone_price_multipliers_match(self, engine):
         trace = aws2()
         config = ReplayConfig(
@@ -149,7 +166,7 @@ class TestBundledTraceEquivalence:
 
 class TestChaosEquivalence:
     @pytest.mark.parametrize("scenario", sorted(BUILTIN_SCENARIOS))
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_builtin_scenarios_byte_identical(self, scenario, engine):
         trace = aws1()
         compiled = compile_scenario(builtin_scenario(scenario), trace)
@@ -163,8 +180,8 @@ class TestChaosEquivalence:
 
 
 class TestTelemetryEquivalence:
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
-    @pytest.mark.parametrize("policy", ["SpotHedge", "RoundRobin"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
+    @pytest.mark.parametrize("policy", ["SpotHedge", "RoundRobin", "EvenSpread"])
     def test_event_streams_identical(self, engine, policy):
         trace = aws1()
         factory = POLICIES.get(policy)
@@ -179,7 +196,7 @@ class TestTelemetryEquivalence:
             streams.append(sink.events)
         assert streams[0] == streams[1]
 
-    @pytest.mark.parametrize("engine", ["vectorized", "hybrid"])
+    @pytest.mark.parametrize("engine", FAST_ENGINES)
     def test_chaos_event_streams_identical(self, engine):
         trace = aws1()
         compiled = compile_scenario(builtin_scenario("cold-start-storm"), trace)
@@ -238,7 +255,7 @@ class TestHybridWindowing:
     def test_discrete_consults_every_step(self):
         trace = self.make_quiet_trace()
         policy = _CountingSpotHedge(ZONES, trace.step)
-        TraceReplayer(trace, ReplayConfig(n_tar=4)).run(policy)
+        TraceReplayer(trace, ReplayConfig(n_tar=4), engine="discrete").run(policy)
         assert len(policy.consulted_steps) == trace.n_steps
 
     def test_window_boundary_at_chaos_injection_edge(self):
@@ -259,6 +276,7 @@ class TestHybridWindowing:
         ref = TraceReplayer(
             compiled.trace,
             ReplayConfig(n_tar=4),
+            engine="discrete",
             cold_start_factors=compiled.cold_start_factors,
             zone_price_factors=compiled.price_factors,
         ).run(_CountingSpotHedge(ZONES, trace.step))
@@ -276,8 +294,9 @@ class TestHybridWindowing:
 
     def test_mid_shortage_equivalence(self):
         # Sustained shortage: total capacity below target — the launch
-        # loop fails every step, so hybrid degrades to per-step churn
-        # but must stay byte-identical.
+        # loop fails every step.  Round robin advances its cursor on
+        # every attempt, so its snapshot never repeats and hybrid steps
+        # one step at a time, but must stay byte-identical.
         rows = [[1] * 80, [0] * 80, [0] * 80]
         trace = trace_with(rows)
         config = ReplayConfig(n_tar=4)
@@ -285,6 +304,55 @@ class TestHybridWindowing:
         got = replay(trace, round_robin_policy, "hybrid", config=config)
         assert_identical(ref, got)
         assert got.launch_failures > 0
+
+
+class _UnpicklableEvenSpread(MixturePolicy):
+    """Even Spread holding a lambda: stationary, but no snapshot."""
+
+    def __init__(self, zones):
+        super().__init__(EvenSpreadPlacer(zones), name="EvenSpread")
+        self.hook = lambda zone: zone
+
+
+class TestShortageFastForward:
+    def shortage_trace(self, recover_at=None, n_steps=300):
+        # Zone 1 holds one replica, zones 2 and 3 are dark: Even Spread
+        # (quotas 2/1/1 at N_Tar 4) fails the same three launches every
+        # step.  Optionally zone 3 comes back at ``recover_at``.
+        rows = np.zeros((3, n_steps), dtype=np.int64)
+        rows[0] = 1
+        if recover_at is not None:
+            rows[2, recover_at:] = 2
+        return trace_with(rows.tolist())
+
+    def run_both(self, trace, factory):
+        config = ReplayConfig(n_tar=4, cold_start=120.0)
+        replayers = [
+            TraceReplayer(trace, config, seed=3, engine=engine)
+            for engine in ("discrete", "hybrid")
+        ]
+        results = [r.run(factory(ZONES)) for r in replayers]
+        assert_identical(*results)
+        ref_rng, fast_rng = (r._rng.bit_generator.state for r in replayers)
+        assert ref_rng == fast_rng
+        return replayers[1], results[1]
+
+    def test_fixed_point_is_fast_forwarded(self):
+        trace = self.shortage_trace()
+        replayer, got = self.run_both(trace, even_spread_policy)
+        assert replayer.fast_forwarded_steps > trace.n_steps * 0.9
+        assert got.launch_failures >= 2 * trace.n_steps
+
+    def test_window_ends_when_failed_zone_recovers(self):
+        trace = self.shortage_trace(recover_at=150)
+        replayer, got = self.run_both(trace, even_spread_policy)
+        assert replayer.fast_forwarded_steps > 0
+        # The recovered zone's launch happened and became ready.
+        assert got.ready_series[-1] > got.ready_series[149]
+
+    def test_unpicklable_policy_is_stepped(self):
+        replayer, _ = self.run_both(self.shortage_trace(), _UnpicklableEvenSpread)
+        assert replayer.fast_forwarded_steps == 0
 
 
 class TestBucketStep:

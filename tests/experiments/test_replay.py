@@ -165,12 +165,27 @@ class TestLatencyEstimate:
 class TestCapacityWeights:
     """Effective-capacity tracking for heterogeneous (zone × type) pools."""
 
-    def test_weights_require_discrete_engine(self):
-        config = ReplayConfig(n_tar=2, zone_capacity_weights={Z1: 2.0})
-        for engine in ("hybrid", "vectorized"):
-            replayer = TraceReplayer(trace_with(full()), config, engine=engine)
-            with pytest.raises(ValueError, match="zone_capacity_weights"):
-                replayer.run(spothedge([Z1, Z2, Z3]))
+    def test_weighted_hybrid_matches_discrete(self):
+        # Non-unit weights (one zone left at the default 1.0) over a
+        # trace with a blackout and a partial dip: the hybrid engine
+        # carries the weights and reproduces the oracle's effective
+        # series byte for byte.
+        rows = [[4] * 30 + [0] * 20 + [4] * 50, [4] * 60 + [1] * 40, [4] * 100]
+        config = ReplayConfig(
+            n_tar=3, cold_start=120.0, zone_capacity_weights={Z1: 2.5, Z2: 0.75}
+        )
+        results = [
+            TraceReplayer(trace_with(rows), config, seed=2, engine=engine).run(
+                spothedge([Z1, Z2, Z3])
+            )
+            for engine in ("discrete", "hybrid")
+        ]
+        ref, got = results
+        assert got.eff_ready_series.tobytes() == ref.eff_ready_series.tobytes()
+        assert got.eff_availability == ref.eff_availability
+        assert got.spot_cost == ref.spot_cost
+        assert got.launch_failures == ref.launch_failures
+        np.testing.assert_array_equal(got.ready_series, ref.ready_series)
 
     def test_eff_fields_none_without_weights(self):
         replayer = TraceReplayer(trace_with(full()), ReplayConfig(n_tar=2))

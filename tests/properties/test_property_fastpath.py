@@ -1,9 +1,11 @@
-"""Property tests: discrete ↔ vectorized ↔ hybrid engine equivalence.
+"""Property tests: discrete ↔ hybrid engine equivalence.
 
-The discrete loop is the oracle; the fastpath engines must reproduce
-every :class:`ReplayResult` field byte-for-byte — including the float
-cost accumulators and the RNG-driven preemption counts — over random
-traces, policies, seeds and chaos overlays.
+The discrete loop is the oracle (always selected explicitly); the
+hybrid engine must reproduce every :class:`ReplayResult` field
+byte-for-byte — including the float cost accumulators, the effective
+series under capacity weights and the RNG-driven preemption counts —
+over random traces, policies, weights, seeds and chaos overlays, and
+leave the RNG stream in the same state.
 """
 
 import numpy as np
@@ -14,12 +16,17 @@ from repro.cloud import SpotTrace
 from repro.core import (
     OnDemandOnlyPolicy,
     even_spread_policy,
+    hetero_spothedge,
     round_robin_policy,
     spothedge,
 )
-from repro.experiments import ReplayConfig, TraceReplayer
+from repro.core.placement import EvenSpreadPlacer
+from repro.core.spothedge import MixturePolicy
+from repro.experiments import ENGINES, ReplayConfig, TraceReplayer
 
 ZONES = ["aws:r1:a", "aws:r1:b", "aws:r2:a"]
+#: Every engine checked against the discrete oracle.
+FAST_ENGINES = [engine for engine in ENGINES if engine != "discrete"]
 
 
 @st.composite
@@ -67,14 +74,38 @@ def assert_identical(ref, got):
     assert got.launch_failures == ref.launch_failures
     np.testing.assert_array_equal(got.ready_series, ref.ready_series)
     np.testing.assert_array_equal(got.od_series, ref.od_series)
+    if ref.eff_ready_series is None:
+        assert got.eff_ready_series is None
+    else:
+        assert got.eff_ready_series.tobytes() == ref.eff_ready_series.tobytes()
+        assert got.eff_availability == ref.eff_availability
+
+
+def replay_both(trace, config, make_policy, *, seed=0):
+    """Run the oracle and every fast engine; assert byte-identical
+    results and RNG stream state.  Returns the fast replayers."""
+    ref_replayer = TraceReplayer(trace, config, seed=seed, engine="discrete")
+    ref = ref_replayer.run(make_policy())
+    fast = []
+    for engine in FAST_ENGINES:
+        replayer = TraceReplayer(trace, config, seed=seed, engine=engine)
+        assert_identical(ref, replayer.run(make_policy()))
+        assert (
+            replayer._rng.bit_generator.state == ref_replayer._rng.bit_generator.state
+        )
+        assert replayer._next_id == ref_replayer._next_id
+        fast.append(replayer)
+    return fast
 
 
 @given(traces(), policy_factories, st.integers(1, 6), st.integers(0, 5))
 @settings(max_examples=60, deadline=None)
 def test_engines_byte_identical_random_traces(trace, factory, n_tar, seed):
     config = ReplayConfig(n_tar=n_tar, k=3.0, cold_start=120.0)
-    ref = TraceReplayer(trace, config, seed=seed).run(factory(ZONES))
-    for engine in ("vectorized", "hybrid"):
+    ref = TraceReplayer(trace, config, seed=seed, engine="discrete").run(
+        factory(ZONES)
+    )
+    for engine in FAST_ENGINES:
         got = TraceReplayer(trace, config, seed=seed, engine=engine).run(
             factory(ZONES)
         )
@@ -88,8 +119,10 @@ def test_engines_byte_identical_quiet_traces(trace, factory, n_tar, seed):
     # (window boundaries at capacity crossings) rather than per-step
     # churn; results must still match bit for bit.
     config = ReplayConfig(n_tar=n_tar, k=3.0, cold_start=180.0)
-    ref = TraceReplayer(trace, config, seed=seed).run(factory(ZONES))
-    for engine in ("vectorized", "hybrid"):
+    ref = TraceReplayer(trace, config, seed=seed, engine="discrete").run(
+        factory(ZONES)
+    )
+    for engine in FAST_ENGINES:
         got = TraceReplayer(trace, config, seed=seed, engine=engine).run(
             factory(ZONES)
         )
@@ -106,8 +139,10 @@ def test_engines_byte_identical_cold_start_sweep(trace, cold_start, n_tar):
     # Cold starts that are non-multiples of the step stress the
     # ready-step bucketing against the oracle's float comparison.
     config = ReplayConfig(n_tar=n_tar, cold_start=cold_start)
-    ref = TraceReplayer(trace, config, seed=2).run(spothedge(ZONES))
-    for engine in ("vectorized", "hybrid"):
+    ref = TraceReplayer(trace, config, seed=2, engine="discrete").run(
+        spothedge(ZONES)
+    )
+    for engine in FAST_ENGINES:
         got = TraceReplayer(trace, config, seed=2, engine=engine).run(
             spothedge(ZONES)
         )
@@ -160,8 +195,10 @@ def test_engines_byte_identical_chaos_overlays(data, factory, n_tar):
         n_tar=n_tar, zone_price_multipliers={ZONES[1]: 1.4}
     )
     kwargs = dict(cold_start_factors=cold, zone_price_factors=prices)
-    ref = TraceReplayer(trace, config, seed=1, **kwargs).run(factory(ZONES))
-    for engine in ("vectorized", "hybrid"):
+    ref = TraceReplayer(
+        trace, config, seed=1, engine="discrete", **kwargs
+    ).run(factory(ZONES))
+    for engine in FAST_ENGINES:
         got = TraceReplayer(
             trace, config, seed=1, engine=engine, **kwargs
         ).run(factory(ZONES))
@@ -177,7 +214,9 @@ def test_hybrid_matches_oracle_for_nonstationary_policy(trace, n_tar, seed):
     one_region = ["aws:r1:a", "aws:r1:b", "aws:r1:c"]
     trace = SpotTrace(trace.name, one_region, trace.step, trace.capacity)
     config = ReplayConfig(n_tar=n_tar)
-    ref = TraceReplayer(trace, config, seed=seed).run(MArkPolicy(one_region))
+    ref = TraceReplayer(trace, config, seed=seed, engine="discrete").run(
+        MArkPolicy(one_region)
+    )
     got = TraceReplayer(trace, config, seed=seed, engine="hybrid").run(
         MArkPolicy(one_region)
     )
@@ -190,9 +229,110 @@ def test_rng_stream_consumption_identical(trace, factory, n_tar):
     # Same stream position after the run ⇒ the engines drew the same
     # victim-sampling batches in the same order.
     config = ReplayConfig(n_tar=n_tar)
-    ref = TraceReplayer(trace, config, seed=4)
+    ref = TraceReplayer(trace, config, seed=4, engine="discrete")
     ref.run(factory(ZONES))
-    for engine in ("vectorized", "hybrid"):
+    for engine in FAST_ENGINES:
         fast = TraceReplayer(trace, config, seed=4, engine=engine)
         fast.run(factory(ZONES))
         assert ref._rng.bit_generator.state == fast._rng.bit_generator.state
+
+
+@st.composite
+def shortage_traces(draw):
+    """Traces dominated by long zero-capacity stretches (the §5.2
+    blackout regime), with one all-zones blackout of 10+ steps."""
+    n_segments = draw(st.integers(min_value=2, max_value=5))
+    rows = []
+    for _ in ZONES:
+        segs = draw(
+            st.lists(
+                st.tuples(st.sampled_from([0, 0, 0, 1, 2, 8]), st.integers(5, 40)),
+                min_size=n_segments,
+                max_size=n_segments,
+            )
+        )
+        rows.append([cap for cap, length in segs for _ in range(length)])
+    n_steps = min(len(row) for row in rows)
+    start = draw(st.integers(0, n_steps))
+    length = draw(st.integers(10, 40))
+    grid = np.asarray([row[:n_steps] + [0] * length for row in rows])
+    grid[:, start : start + length] = 0
+    return SpotTrace("prop-shortage", ZONES, 60.0, grid)
+
+
+weight_maps = st.dictionaries(
+    st.sampled_from(ZONES), st.floats(min_value=0.1, max_value=4.0), max_size=len(ZONES)
+)
+
+
+@given(st.one_of(traces(), shortage_traces()), policy_factories, weight_maps,
+       st.integers(1, 6), st.integers(0, 3))
+@settings(max_examples=50, deadline=None)
+def test_weighted_engines_byte_identical(trace, factory, weights, n_tar, seed):
+    # Random non-unit capacity weights (zones left out weigh 1.0): the
+    # effective series must match the oracle's byte for byte.
+    config = ReplayConfig(n_tar=n_tar, cold_start=120.0, zone_capacity_weights=weights)
+    replay_both(trace, config, lambda: factory(ZONES), seed=seed)
+
+
+@given(shortage_traces(), policy_factories, st.integers(1, 6), st.integers(0, 3),
+       st.sampled_from([0.0, 60.0, 150.0]))
+@settings(max_examples=60, deadline=None)
+def test_engines_byte_identical_shortage_traces(trace, factory, n_tar, seed, cold_start):
+    config = ReplayConfig(n_tar=n_tar, k=3.0, cold_start=cold_start)
+    replay_both(trace, config, lambda: factory(ZONES), seed=seed)
+
+
+@given(shortage_traces(), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_even_spread_shortage_fast_forwards(trace, n_tar):
+    # The all-zones blackout is a fixed point for Even Spread: the
+    # same quota zones fail every step and its state never moves.
+    (fast,) = replay_both(trace, ReplayConfig(n_tar=n_tar), lambda: even_spread_policy(ZONES))
+    assert fast.fast_forwarded_steps > 0
+
+
+POOLS = [f"{zone}@{itype}" for zone in ZONES for itype in ("small", "big")]
+
+
+@given(
+    st.data(),
+    st.integers(1, 6),
+    st.integers(0, 3),
+)
+@settings(max_examples=40, deadline=None)
+def test_hetero_spothedge_byte_identical(data, n_tar, seed):
+    base = data.draw(st.one_of(traces(), shortage_traces()))
+    grid = np.repeat(base.capacity, 2, axis=0)
+    trace = SpotTrace("prop-pools", POOLS, base.step, grid)
+    weights = data.draw(
+        st.fixed_dictionaries({pool: st.sampled_from([0.5, 1.0, 2.5]) for pool in POOLS})
+    )
+    costs = data.draw(
+        st.fixed_dictionaries({pool: st.floats(min_value=0.5, max_value=5.0) for pool in POOLS})
+    )
+    config = ReplayConfig(
+        n_tar=n_tar, cold_start=120.0, k=2.0, zone_capacity_weights=weights
+    )
+    replay_both(
+        trace,
+        config,
+        lambda: hetero_spothedge(POOLS, pool_costs=costs, pool_weights=weights),
+        seed=seed,
+    )
+
+
+class _UnpicklableEvenSpread(MixturePolicy):
+    """Stationary Even Spread that holds a lambda, so it has no pickle
+    snapshot: shortage windows must be stepped, not skipped."""
+
+    def __init__(self, zones):
+        super().__init__(EvenSpreadPlacer(zones), name="EvenSpread")
+        self.hook = lambda zone: zone
+
+
+@given(st.one_of(traces(), shortage_traces()), st.integers(1, 6), st.integers(0, 3))
+@settings(max_examples=30, deadline=None)
+def test_unpicklable_stationary_policy_byte_identical(trace, n_tar, seed):
+    config = ReplayConfig(n_tar=n_tar, cold_start=120.0)
+    replay_both(trace, config, lambda: _UnpicklableEvenSpread(ZONES), seed=seed)
