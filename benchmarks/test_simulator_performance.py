@@ -144,16 +144,16 @@ def test_replay_throughput(benchmark):
 
 
 def test_vectorized_replay_throughput(benchmark):
-    """The numpy fastpath (hybrid engine) on the realistic week-long
-    three-zone trace.
+    """The hybrid engine (the replay loop plus window fast-forwarding)
+    on the realistic week-long three-zone trace.
 
     Three pins: (1) the hybrid engine reproduces the discrete oracle
     byte-for-byte on this trace (the property suite covers the general
     case; this keeps the perf benchmark honest) and actually
     fast-forwards; (2) it clears 1M steps/s in full mode — the
-    million-user-scale sweep target (~2.9M on dev hardware, ~10x the
-    discrete loop); (3) the number is recorded as ``replay_vectorized``
-    for the perfreg gate."""
+    million-user-scale sweep target (~2.3-4M on a 2-core VM, ~15x the
+    discrete engine); (3) the number is recorded as
+    ``replay_vectorized`` for the perfreg gate."""
     trace = realistic_trace()
     config = ReplayConfig(n_tar=4)
 
@@ -185,8 +185,8 @@ def test_vectorized_replay_throughput(benchmark):
     )
     benchmark.pedantic(lambda: run("hybrid"), rounds=1, iterations=1)
     # Fluid fast-forward turns quiescent hours into O(1) slice fills;
-    # the full week-long trace replays at ~2.9M steps/s on dev
-    # hardware.  Smoke mode's day-long trace amortises the fixed array
+    # the full week-long trace replays at ~2.3-4M steps/s on a 2-core
+    # VM.  Smoke mode's day-long trace amortises the fixed array
     # setup over 7x fewer steps, so the floor is proportionally lower.
     assert steps_per_second > (150_000 if SMOKE else 1_000_000)
 

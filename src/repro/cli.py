@@ -870,9 +870,9 @@ def build_parser() -> argparse.ArgumentParser:
                              "(single policy only)")
     replay.add_argument("--json", help="also write raw results to this JSON file")
     replay.add_argument("--engine", choices=ENGINES, default="hybrid",
-                        help="replay engine; hybrid runs the numpy fastpath, "
-                             "discrete the per-instance oracle, with "
-                             "byte-identical results (default: hybrid)")
+                        help="replay engine; hybrid fast-forwards the steps "
+                             "it can prove repeat, discrete steps through every "
+                             "one, with byte-identical results (default: hybrid)")
     replay.set_defaults(func=_cmd_replay)
 
     sweep = sub.add_parser(

@@ -135,9 +135,10 @@ class DynamicSpotPlacer(SpotPlacer):
                     active=list(self.active_zones),
                 )
 
-    # Called once per preemption event — alias away the trampoline
-    # frame rather than delegating.
-    handle_preemption = _move_to_preempting
+    def handle_preemption(self, zone: str) -> None:
+        # Dispatch through the method so a subclass override of
+        # ``_move_to_preempting`` also sees preemptions.
+        self._move_to_preempting(zone)
 
     def handle_launch_failure(self, zone: str) -> None:
         if self._failure_is_preemption:

@@ -13,16 +13,14 @@ graph of the package):
   behaviour, with a ``stationary_state`` whitelist
   (``REPRO-D201``–``D203``).
 * :class:`~repro.devtools.flow.parity.ParityPass` (``engine-parity``) —
-  diffs the ``ReplayResult``/telemetry write surfaces of the discrete
-  and hybrid engines and finds cross-function unordered
-  iteration (``REPRO-D301``/``D302``).
+  finds cross-function unordered iteration (``REPRO-D302``).
 
 See ``docs/STATIC_ANALYSIS.md`` ("Interprocedural analysis") for the
 workflow, and :mod:`repro.devtools.flow.runner` for suppression
 semantics.
 """
 
-from repro.devtools.flow.parity import DEFAULT_SURFACES, EngineSurface, ParityPass
+from repro.devtools.flow.parity import ParityPass
 from repro.devtools.flow.project import (
     CallSite,
     ClassInfo,
@@ -43,8 +41,6 @@ __all__ = [
     "ALL_DEEP_RULES",
     "CallSite",
     "ClassInfo",
-    "DEFAULT_SURFACES",
-    "EngineSurface",
     "FunctionInfo",
     "ModuleInfo",
     "PASS_NAMES",

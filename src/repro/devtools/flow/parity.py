@@ -1,15 +1,9 @@
-"""Engine-parity surface check (``REPRO-D301``/``D302``).
+"""Cross-function iteration-order check (``REPRO-D302``).
 
-The discrete oracle (``experiments/replay.py``) and the hybrid data
-plane (``experiments/fastpath.py``) promise byte-identical
-``ReplayResult``s and telemetry streams.  The property tests check that
-dynamically on sampled traces; this pass checks the *write surface*
-statically, so a field or event added to one engine and forgotten in
-the other is caught before any trace runs:
+Part of the ``engine-parity`` pass: replay output must not depend on
+the interpreter's hash seed, so this pass looks for unordered
+iteration that the per-file O001 rule cannot see:
 
-* **D301** — a result-type constructor field set by one engine path and
-  never by another, or a telemetry event class emitted by one path
-  only.
 * **D302** — interprocedural ordered-iteration: a function whose return
   value is an unordered collection (set literal, ``set()``/
   ``frozenset()``, ``.keys()`` — propagated through returns of calls),
@@ -22,30 +16,15 @@ the other is caught before any trace runs:
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.devtools.flow.base import deep_diag, deep_rule
-from repro.devtools.flow.project import (
-    ModuleInfo,
-    ProjectIndex,
-    attr_chain,
-)
+from repro.devtools.flow.project import ProjectIndex, attr_chain
 from repro.devtools.lint.engine import Diagnostic
 from repro.devtools.lint.rules import _body_order_sensitivity
 
-__all__ = ["DEFAULT_SURFACES", "EngineSurface", "ParityPass", "RULES"]
+__all__ = ["ParityPass", "RULES"]
 
-SURFACE_RULE = deep_rule(
-    "REPRO-D301",
-    "engine-parity",
-    "Discrete and hybrid replay paths must produce "
-    "byte-identical ReplayResults and telemetry streams; a field or "
-    "event written by only one path is a divergence the equivalence "
-    "property tests can only catch after the fact, per trace.",
-    "write the field/emit the event in every engine path (or fold the "
-    "write into shared code both paths call)",
-)
 ORDER_RULE = deep_rule(
     "REPRO-D302",
     "cross-function-iteration-order",
@@ -56,145 +35,17 @@ ORDER_RULE = deep_rule(
     "return a sorted list from the producer, or sort at the call site",
 )
 
-RULES = (SURFACE_RULE, ORDER_RULE)
-
-
-@dataclass(frozen=True)
-class EngineSurface:
-    """One engine path: a name and the package-relative files it owns."""
-
-    name: str
-    prefixes: tuple[str, ...]
-
-
-DEFAULT_SURFACES: tuple[EngineSurface, ...] = (
-    EngineSurface("discrete", ("experiments/replay.py",)),
-    EngineSurface("fastpath", ("experiments/fastpath.py",)),
-)
-DEFAULT_RESULT_CLASSES: tuple[str, ...] = ("ReplayResult",)
-
-_EMIT_RECEIVER_TOKENS = ("bus", "telemetry")
+RULES = (ORDER_RULE,)
 
 
 class ParityPass:
-    """Statically diff the write surfaces of the engine paths."""
+    """Find unordered returns iterated order-sensitively across calls."""
 
     name = "engine-parity"
     rules = RULES
 
-    def __init__(
-        self,
-        surfaces: Sequence[EngineSurface] = DEFAULT_SURFACES,
-        result_classes: Sequence[str] = DEFAULT_RESULT_CLASSES,
-    ) -> None:
-        self.surfaces = tuple(surfaces)
-        self.result_classes = tuple(result_classes)
-
     def run(self, index: ProjectIndex) -> list[Diagnostic]:
-        out: list[Diagnostic] = []
-        out.extend(self._surface_diffs(index))
-        out.extend(self._cross_function_order(index))
-        return out
-
-    # ------------------------------------------------------------------
-    # D301: constructor-field and event-emission diffs
-    # ------------------------------------------------------------------
-    def _surface_modules(
-        self, index: ProjectIndex, surface: EngineSurface
-    ) -> list[ModuleInfo]:
-        return [
-            module
-            for name, module in sorted(index.modules.items())
-            if module.in_dir(*surface.prefixes)
-        ]
-
-    def _surface_diffs(self, index: ProjectIndex) -> list[Diagnostic]:
-        out: list[Diagnostic] = []
-        # result-class ctor kwargs per surface
-        for result_class in self.result_classes:
-            fields: dict[str, set[str]] = {}
-            anchor: dict[str, tuple[ModuleInfo, ast.Call]] = {}
-            for surface in self.surfaces:
-                for module in self._surface_modules(index, surface):
-                    for node in ast.walk(module.tree):
-                        if not isinstance(node, ast.Call):
-                            continue
-                        chain = attr_chain(node.func)
-                        if not chain or chain[-1] != result_class:
-                            continue
-                        named = {
-                            kw.arg for kw in node.keywords if kw.arg
-                        }
-                        fields.setdefault(surface.name, set()).update(named)
-                        anchor.setdefault(surface.name, (module, node))
-            if len(fields) < 2:
-                continue
-            union: set[str] = set().union(*fields.values())
-            for surface_name in sorted(fields):
-                missing = union - fields[surface_name]
-                module, node = anchor[surface_name]
-                for field_name in sorted(missing):
-                    setters = ", ".join(
-                        sorted(s for s in fields if field_name in fields[s])
-                    )
-                    out.append(
-                        deep_diag(
-                            SURFACE_RULE,
-                            module,
-                            node,
-                            f"{result_class} field {field_name!r} is set "
-                            f"by the {setters} path but never by the "
-                            f"{surface_name} path",
-                        )
-                    )
-        # event classes emitted per surface
-        events: dict[str, set[str]] = {}
-        event_anchor: dict[str, tuple[ModuleInfo, ast.Call]] = {}
-        for surface in self.surfaces:
-            for module in self._surface_modules(index, surface):
-                for node in ast.walk(module.tree):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    chain = attr_chain(node.func)
-                    if (
-                        len(chain) < 2
-                        or chain[-1] != "emit"
-                        or not any(
-                            token in part.lower()
-                            for part in chain[:-1]
-                            for token in _EMIT_RECEIVER_TOKENS
-                        )
-                    ):
-                        continue
-                    if not node.args or not isinstance(node.args[0], ast.Call):
-                        continue
-                    event_chain = attr_chain(node.args[0].func)
-                    if not event_chain:
-                        continue
-                    events.setdefault(surface.name, set()).add(
-                        event_chain[-1]
-                    )
-                    event_anchor.setdefault(surface.name, (module, node))
-        if len(events) >= 2:
-            union = set().union(*events.values())
-            for surface_name in sorted(events):
-                missing = union - events[surface_name]
-                module, node = event_anchor[surface_name]
-                for event_name in sorted(missing):
-                    emitters = ", ".join(
-                        sorted(s for s in events if event_name in events[s])
-                    )
-                    out.append(
-                        deep_diag(
-                            SURFACE_RULE,
-                            module,
-                            node,
-                            f"telemetry event {event_name!r} is emitted by "
-                            f"the {emitters} path but never by the "
-                            f"{surface_name} path",
-                        )
-                    )
-        return out
+        return self._cross_function_order(index)
 
     # ------------------------------------------------------------------
     # D302: unordered returns iterated order-sensitively

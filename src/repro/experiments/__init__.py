@@ -10,7 +10,7 @@ from repro.experiments.endtoend import (
     spot_zone_costs,
     standard_policies,
 )
-from repro.experiments.fastpath import run_fastpath, supports_fluid
+from repro.experiments.fastpath import supports_fluid
 from repro.experiments.hetero import (
     FLEETS,
     frontier_to_json,
@@ -55,7 +55,6 @@ __all__ = [
     "replay_result_from_dict",
     "replay_result_to_dict",
     "run_comparison",
-    "run_fastpath",
     "run_fleet",
     "run_frontier",
     "run_system",

@@ -20,18 +20,21 @@ and scale-down selects its victim with a single max-scan instead of
 sorting the fleet per termination.  :func:`estimate_latency` is fully
 vectorised — O(steps + requests) instead of O(requests × steps).
 
-:class:`TraceReplayer` runs on the ``hybrid`` engine by default: the
-numpy fluid/flow data plane in :mod:`repro.experiments.fastpath`, which
-fast-forwards quiescent and capacity-shortage windows and is
-property-tested byte-identical to the discrete loop below on every
-:class:`ReplayResult` field.  ``engine="discrete"`` selects that loop,
-the per-instance oracle.
+:class:`TraceReplayer` has one step loop for both engines.  On
+``engine="discrete"`` it processes every step: the per-instance oracle.
+On ``engine="hybrid"`` (the default) each step is followed by a
+fast-forward check that fills the steps a quiescent or capacity-shortage
+window provably repeats in closed form; the window rules and helpers
+live in :mod:`repro.experiments.fastpath`.  Every step that is not
+skipped is the oracle's, so the two engines agree byte for byte on
+every :class:`ReplayResult` field.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import pickle
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
@@ -41,6 +44,7 @@ from typing import Callable, Mapping, MutableSequence, Optional, Sequence
 import numpy as np
 
 from repro.cloud.traces import SpotTrace
+from repro.experiments.fastpath import bucket_step, crossing_lookup, supports_fluid
 from repro.serving.policy import Observation, ServingPolicy
 from repro.sim.rng import RngRegistry
 from repro.telemetry.events import (
@@ -65,13 +69,13 @@ __all__ = [
     "estimate_latency",
 ]
 
-#: Replay engines accepted by :class:`TraceReplayer`.  ``discrete`` is
-#: the per-instance oracle below; ``hybrid`` (the default) runs the
-#: numpy data plane in :mod:`repro.experiments.fastpath`, fast-forwarding
-#: whatever windows it can prove repeat and stepping exactly otherwise.
-#: Both produce byte-identical :class:`ReplayResult` objects for every
-#: config; ``TraceReplayer.fast_forwarded_steps`` reports how many steps
-#: a hybrid run skipped.
+#: Replay engines accepted by :class:`TraceReplayer`.  Both run the
+#: same step loop: ``discrete`` steps through every trace step (the
+#: oracle); ``hybrid`` (the default) also fast-forwards the windows it
+#: can prove repeat (:mod:`repro.experiments.fastpath`).  Both produce
+#: byte-identical :class:`ReplayResult` objects for every config;
+#: ``TraceReplayer.fast_forwarded_steps`` reports how many steps a
+#: hybrid run skipped.
 ENGINES: tuple[str, ...] = ("discrete", "hybrid")
 
 logger = logging.getLogger(__name__)
@@ -80,7 +84,13 @@ logger = logging.getLogger(__name__)
 #: fresh frozenset per reconcile round on the replay hot path).
 _EMPTY_FROZENSET: frozenset = frozenset()
 
-#: Profiling samples every (mask+1)-th step of the replay loop.  Stride
+#: What ``pickle.dumps`` raises for a policy it cannot serialise
+#: (shortage fixed-point check): lambdas and local classes raise
+#: ``PicklingError``/``AttributeError``, locks and generators
+#: ``TypeError``.
+_PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+
+#: Profiling samples every (mask+1)-th iteration of the replay loop.  Stride
 #: sampling keeps the enabled-profiler overhead under the 5% budget
 #: (clock reads per sampled step only) while still attributing time to
 #: the five phases proportionally; the stats underestimate absolute
@@ -255,10 +265,6 @@ class TraceReplayer:
         self._rng = RngRegistry(self._seed).stream("replay")
         self._next_id = 0
         self.fast_forwarded_steps = 0
-        if self.engine != "discrete":
-            from repro.experiments.fastpath import run_fastpath
-
-            return run_fastpath(self, policy, spot_zones=spot_zones)
         cfg = self.config
         trace = self.trace
         bus = self.telemetry
@@ -342,8 +348,9 @@ class TraceReplayer:
         # Heterogeneous capacity accounting: per-zone *ready* counts
         # (exact integers) are only maintained when weights are set, so
         # the homogeneous path stays byte-identical; the weighted sum is
-        # recomputed per step in fixed zone order from those integers —
-        # no incremental float accumulation, no dict-order dependence.
+        # recomputed in fixed zone order from those integers on every
+        # step with fleet activity (no other step changes a count) — no
+        # incremental float accumulation, no dict-order dependence.
         weights = cfg.zone_capacity_weights
         track_eff = weights is not None
         zone_weight: dict[str, float] = (
@@ -353,6 +360,27 @@ class TraceReplayer:
         )
         zone_ready: dict[str, int] = {zone: 0 for zone in zones}
         eff_list: list[float] = []
+        eff = 0.0
+        # Step 6 state (hybrid engine only, see repro.experiments.fastpath):
+        # run-indexed capacity crossings, price rows as numpy rows for
+        # window products, and the shortage fixed-point tracker — the
+        # failed-zone tuple of the previous failure-only step, the policy
+        # snapshot taken while that tuple repeats, and whether snapshots
+        # are worth taking.
+        fast_forward = self.engine == "hybrid" and supports_fluid(policy)
+        if fast_forward:
+            next_crossing = crossing_lookup(trace, zone_caps)
+            price_np = (
+                {zone: np.asarray(row) for zone, row in price_rows.items()}
+                if price_rows is not None
+                else None
+            )
+        fast_forwarded = 0
+        stall_key: Optional[tuple[str, ...]] = None
+        snapshot: Optional[bytes] = None
+        snap_armed = False
+        picklable = True
+        next_id = self._next_id
         # Pre-bound callables: attribute lookups on ``policy``/``cfg``
         # inside the step loop are measurable at trace scale.
         on_preempted = policy.on_spot_preempted
@@ -364,25 +392,35 @@ class TraceReplayer:
         max_attempts = cfg.max_launch_attempts_per_step
         # Profiler locals: when disabled, each step pays one short-
         # circuited ``and`` plus five false branch checks — no clock
-        # reads, no objects, no allocations.
+        # reads, no objects, no allocations.  Every (mask+1)-th loop
+        # iteration is timed; an iteration is one processed step plus
+        # the window it fast-forwards, whose time is accrual.
         profiler = self.profiler
         prof_enabled = profiler.enabled
         prof_clock = profiler.clock
         prof_acc = profiler.accumulate if prof_enabled else None
         stride_mask = _PROFILE_STRIDE_MASK
         t_mark = 0.0
+        iteration = 0
         logger.info(
-            "replaying %s over %s (%d steps)", policy.name, trace.name, n_steps
+            "replaying %s over %s (%d steps, %s engine)",
+            policy.name,
+            trace.name,
+            n_steps,
+            self.engine,
         )
 
-        for k_step in range(n_steps):
+        k_step = 0
+        while k_step < n_steps:
             now = k_step * step
             bus_enabled = bus.enabled
-            do_profile = prof_enabled and (k_step & stride_mask) == 0
+            do_profile = prof_enabled and (iteration & stride_mask) == 0
+            iteration += 1
             if do_profile:
                 t_mark = prof_clock()
             if chaos_cs is not None:
                 d = base_d * chaos_cs[k_step]
+            activity = False
 
             # 0. Promote instances whose cold start has elapsed.  The
             # queues are ordered by ready_at; dead entries are skipped.
@@ -391,6 +429,7 @@ class TraceReplayer:
                 if inst.alive:
                     inst.ready = True
                     spot_ready += 1
+                    activity = True
                     if track_eff:
                         zone_ready[inst.zone] += 1
             while pending_od and pending_od[0].ready_at <= now:
@@ -398,19 +437,21 @@ class TraceReplayer:
                 if inst.alive:
                     inst.ready = True
                     od_ready += 1
+                    activity = True
             if do_profile:
                 t_now = prof_clock()
                 prof_acc("replay.promote", t_now - t_mark)
                 t_mark = t_now
 
             # 1. Inject preemptions: per zone, capacity below placements.
-            for zone, caps, in_zone in zone_state:  # repro: draw-parity[victim-sampling]: fastpath must draw the identical victim skeleton
+            for zone, caps, in_zone in zone_state:
                 count = zone_count[zone]
                 if count == 0:
                     continue
                 excess = count - caps[k_step]
                 if excess <= 0:
                     continue
+                activity = True
                 if excess >= count:
                     # Whole zone wiped (the §2.2 blackout case): every
                     # instance is a victim — no random draw needed.
@@ -477,12 +518,17 @@ class TraceReplayer:
             # The observation is rebuilt only after a successful launch —
             # a failed attempt changes nothing the policy can observe
             # except the ``excluded`` set, which is passed separately.
+            # ``tried`` records that the loop was entered at all:
+            # selection may mutate placer state (e.g. round-robin
+            # rotation), so a step that tried is never quiescent, only
+            # possibly failure-only.
             spot_target = mix.spot_target
             counted = spot_total if mix.count_provisioning_spot else ready_spot_obs
+            tried = counted < spot_target
             attempts = 0
-            failed_zones: set[str] = set()
+            failed_order: list[str] = []
             excluded = _EMPTY_FROZENSET
-            obs_now = obs
+            obs_now: Optional[Observation] = obs
             while counted < spot_target and attempts < max_attempts:
                 attempts += 1
                 if obs_now is None:
@@ -498,11 +544,16 @@ class TraceReplayer:
                 zone = select_spot_zone(obs_now, excluded)
                 if zone is None:
                     break
-                if zone_count.get(zone, 0) < zone_caps[zone][k_step]:
-                    self._next_id += 1
-                    inst = _ReplayInstance(
-                        zone=zone, spot=True, ready_at=now + d, id=self._next_id
+                caps = zone_caps.get(zone)
+                if caps is None:
+                    raise ValueError(
+                        f"policy {policy.name!r} selected zone {zone!r}, which is "
+                        f"not one of the replay's spot zones {zones}"
                     )
+                if zone_count[zone] < caps[k_step]:
+                    activity = True
+                    next_id += 1
+                    inst = _ReplayInstance(zone=zone, spot=True, ready_at=now + d, id=next_id)
                     zone_insts[zone].append(inst)
                     zone_count[zone] += 1
                     spot_total += 1
@@ -514,14 +565,14 @@ class TraceReplayer:
                     else:
                         push_spot(inst)
                     if bus_enabled:
-                        bus.emit(ReplicaLaunch(now, self._next_id, zone, True))
+                        bus.emit(ReplicaLaunch(now, next_id, zone, True))
                     on_ready(zone)  # launch succeeded in this zone
                     counted += 1
                     obs_now = None  # placements changed: rebuild lazily
                 else:
                     launch_failures += 1
-                    failed_zones.add(zone)
-                    excluded = frozenset(failed_zones)
+                    failed_order.append(zone)
+                    excluded = frozenset(failed_order)
                     if bus_enabled:
                         # No replica object ever existed for a failed
                         # attempt at this granularity: id -1.
@@ -531,6 +582,7 @@ class TraceReplayer:
                 # Scale down: drop the newest (least likely to be
                 # ready) — a single max-scan over the (small) fleet;
                 # id breaks ready_at ties towards the latest launch.
+                activity = True
                 victim = None
                 for insts in zone_insts.values():
                     for inst in insts:
@@ -559,6 +611,7 @@ class TraceReplayer:
             # ``od`` is launch-ordered, so scale-down pops the newest
             # from the tail.
             while len(od) < mix.od_target:
+                activity = True
                 inst = _ReplayInstance(zone=None, spot=False, ready_at=now + d)
                 od.append(inst)
                 if d <= 0:
@@ -567,6 +620,7 @@ class TraceReplayer:
                 else:
                     push_od(inst)
             while len(od) > mix.od_target:
+                activity = True
                 victim = od.pop()
                 victim.alive = False
                 if victim.ready:
@@ -596,17 +650,113 @@ class TraceReplayer:
             ready_list.append(total_ready)
             od_list.append(len(od))
             if track_eff:
-                # On-demand replicas are reference instances (weight 1);
-                # spot capacity is summed in fixed zone order.
-                eff = float(od_ready)
-                for zone in zones:
-                    count = zone_ready[zone]
-                    if count:
-                        eff += zone_weight[zone] * count
+                if activity:
+                    # On-demand replicas are reference instances (weight
+                    # 1); spot capacity is summed in fixed zone order.
+                    eff = float(od_ready)
+                    for zone in zones:
+                        count = zone_ready[zone]
+                        if count:
+                            eff += zone_weight[zone] * count
                 eff_list.append(eff)
+
+            # 6. Fast-forward the steps that provably repeat this one
+            # (hybrid engine; the rules are in repro.experiments.fastpath).
+            after = k_step + 1
+            nxt = after
+            if activity or not fast_forward:
+                stall_key = None
+            else:
+                shortage = False
+                if not tried:
+                    # Quiescent: the same no-op decision repeats until the
+                    # next promotion or capacity crossing.
+                    stall_key = None
+                    nxt = n_steps
+                else:
+                    # Failure-only: a candidate fixed point once the
+                    # failed-zone tuple repeats; the failures repeat until
+                    # a failed zone gains capacity.
+                    key = tuple(failed_order)
+                    if key != stall_key:
+                        stall_key = key
+                        snapshot = None
+                        snap_armed = True
+                    elif snap_armed and picklable and not bus_enabled:
+                        shortage = True
+                        nxt = n_steps
+                        for zone in key:
+                            nxt = min(nxt, next_crossing(zone, zone_count[zone], after, True))
+                # Bound the window; churn usually ends it at the very next
+                # step, so stop looking once it cannot get any shorter.
+                for zone, count in zone_count.items():
+                    if count and nxt > after:
+                        nxt = min(nxt, next_crossing(zone, count, after, False))
+                if pending_spot and nxt > after:
+                    nxt = min(nxt, bucket_step(pending_spot[0].ready_at, step))
+                if pending_od and nxt > after:
+                    nxt = min(nxt, bucket_step(pending_od[0].ready_at, step))
+                if shortage:
+                    # Confirm the fixed point: the policy left this step
+                    # exactly as it entered it (the snapshot holds its
+                    # state after the previous step).  Snapshots are only
+                    # worth taking while a window could follow.
+                    if nxt == after:
+                        snapshot = None
+                    else:
+                        try:
+                            snap = pickle.dumps(policy, pickle.HIGHEST_PROTOCOL)
+                        except _PICKLE_ERRORS:
+                            picklable = False
+                            nxt = after
+                        else:
+                            if snap != snapshot:
+                                if snapshot is None:
+                                    snapshot = snap
+                                else:
+                                    # Stop until the tuple changes.
+                                    snap_armed = False
+                                nxt = after
+                if nxt > after:
+                    # Fill steps after..nxt-1 in closed form.
+                    width = nxt - after
+                    ready_list += [total_ready] * width
+                    od_list += [len(od)] * width
+                    if track_eff:
+                        eff_list += [eff] * width
+                    # Seeded sequential accumulate: buf[0] carries the
+                    # running total and np.add.accumulate applies the
+                    # per-step adds in order — the exact float left fold
+                    # of the per-step accrual above.
+                    buf = np.empty(width + 1)
+                    if price_np is not None:
+                        contrib = np.zeros(width)
+                        for z, c in zone_count.items():
+                            if c:
+                                contrib = contrib + c * price_np[z][after:nxt]
+                        buf[1:] = contrib * hours
+                    elif multipliers:
+                        buf[1:] = (
+                            sum(c * multipliers.get(z, 1.0) for z, c in zone_count.items() if c)
+                            * hours
+                        )
+                    else:
+                        buf[1:] = spot_total * hours
+                    buf[0] = spot_cost
+                    np.add.accumulate(buf, out=buf)
+                    spot_cost = float(buf[-1])
+                    buf[0] = od_cost
+                    buf[1:] = len(od) * cfg.k * hours
+                    np.add.accumulate(buf, out=buf)
+                    od_cost = float(buf[-1])
+                    launch_failures += width * len(failed_order)
+                    fast_forwarded += width
             if do_profile:
                 prof_acc("replay.accrue", prof_clock() - t_mark)
+            k_step = nxt
 
+        self._next_id = next_id
+        self.fast_forwarded_steps = fast_forwarded
         if bus.enabled:
             # Terminal cost snapshot so report timelines and scorecards
             # see the accrued totals without re-deriving them.

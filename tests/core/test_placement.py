@@ -46,6 +46,21 @@ class TestDynamicPlacer:
         assert set(placer.active_zones) == set(ZONES)
         assert placer.preempting_zones == []
 
+    def test_subclass_override_sees_preemptions(self):
+        """``handle_preemption`` dispatches through ``_move_to_preempting``,
+        so an override (e.g. the rebalance ablation's) receives it."""
+        moved = []
+
+        class Recording(DynamicSpotPlacer):
+            def _move_to_preempting(self, zone):
+                moved.append(zone)
+
+        placer = Recording(ZONES)
+        placer.handle_preemption("z2")
+        placer.handle_launch_failure("z3")
+        assert moved == ["z2", "z3"]
+        assert placer.preempting_zones == []
+
     def test_launch_failure_counts_like_preemption(self):
         placer = DynamicSpotPlacer(ZONES)
         placer.handle_launch_failure("z3")

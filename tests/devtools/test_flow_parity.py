@@ -1,9 +1,4 @@
-"""Engine-parity pass (``REPRO-D301``/``D302``) on fixture engine pairs.
-
-Fixture modules are named ``repro.experiments.replay`` /
-``repro.experiments.fastpath`` so the default surfaces pick them up
-exactly as they pick up the real engines.
-"""
+"""Engine-parity pass (``REPRO-D302``) on fixture modules."""
 
 from __future__ import annotations
 
@@ -23,94 +18,6 @@ def _rules(found: list) -> list[str]:
     return [d.rule for d in found]
 
 
-def test_engine_divergent_result_field_is_flagged() -> None:
-    """Acceptance fixture: the discrete path writes ``preemptions``,
-    the fastpath forgets it."""
-    found = _findings(
-        **{
-            "repro.experiments.replay": """
-            from repro.experiments.results import ReplayResult
-
-            def run():
-                return ReplayResult(availability=1.0, preemptions=3)
-            """,
-            "repro.experiments.fastpath": """
-            from repro.experiments.results import ReplayResult
-
-            def run_fast():
-                return ReplayResult(availability=1.0)
-            """,
-        }
-    )
-    assert _rules(found) == ["REPRO-D301"]
-    diagnostic = found[0]
-    assert "'preemptions'" in diagnostic.message
-    assert "discrete" in diagnostic.message
-    assert "fastpath" in diagnostic.message
-    assert diagnostic.path == "experiments/fastpath.py"
-
-
-def test_matching_result_fields_are_clean() -> None:
-    found = _findings(
-        **{
-            "repro.experiments.replay": """
-            from repro.experiments.results import ReplayResult
-
-            def run():
-                return ReplayResult(availability=1.0, preemptions=3)
-            """,
-            "repro.experiments.fastpath": """
-            from repro.experiments.results import ReplayResult
-
-            def run_fast():
-                return ReplayResult(availability=0.5, preemptions=0)
-            """,
-        }
-    )
-    assert _rules(found) == []
-
-
-def test_single_surface_writer_is_not_compared() -> None:
-    found = _findings(
-        **{
-            "repro.experiments.replay": """
-            from repro.experiments.results import ReplayResult
-
-            def run():
-                return ReplayResult(availability=1.0)
-            """,
-            "repro.experiments.fastpath": """
-            def run_fast():
-                return None
-            """,
-        }
-    )
-    assert _rules(found) == []
-
-
-def test_event_emitted_by_one_path_only_is_flagged() -> None:
-    found = _findings(
-        **{
-            "repro.experiments.replay": """
-            from repro.telemetry.events import Preempted, Promoted
-
-            def run(bus):
-                bus.emit(Preempted(zone="a"))
-                bus.emit(Promoted(zone="a"))
-            """,
-            "repro.experiments.fastpath": """
-            from repro.telemetry.events import Preempted
-
-            def run_fast(bus):
-                bus.emit(Preempted(zone="a"))
-            """,
-        }
-    )
-    assert _rules(found) == ["REPRO-D301"]
-    assert "'Promoted'" in found[0].message
-    assert found[0].path == "experiments/fastpath.py"
-
-
 def test_cross_function_unordered_iteration_is_flagged() -> None:
     found = _findings(
         **{
@@ -121,10 +28,6 @@ def test_cross_function_unordered_iteration_is_flagged() -> None:
             def run(fleet, out):
                 for zone in active_zones(fleet):
                     out.append(zone)
-            """,
-            "repro.experiments.fastpath": """
-            def run_fast():
-                return None
             """,
         }
     )
@@ -146,10 +49,6 @@ def test_unordered_return_propagates_through_wrappers() -> None:
                 for zone in zones(fleet):
                     out.append(zone)
             """,
-            "repro.experiments.fastpath": """
-            def run_fast():
-                return None
-            """,
         }
     )
     assert _rules(found) == ["REPRO-D302"]
@@ -166,10 +65,6 @@ def test_sorted_iteration_over_set_return_is_clean() -> None:
             def run(fleet, out):
                 for zone in sorted(active_zones(fleet)):
                     out.append(zone)
-            """,
-            "repro.experiments.fastpath": """
-            def run_fast():
-                return None
             """,
         }
     )

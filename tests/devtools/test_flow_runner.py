@@ -210,7 +210,7 @@ def test_deep_json_includes_deep_section_and_rules(
     assert payload["deep"]["passes"] == sorted(PASS_NAMES)
     assert payload["deep"]["modules_indexed"] == payload["files_checked"]
     assert "REPRO-D101" in payload["rules"]
-    assert "REPRO-D301" in payload["rules"]
+    assert "REPRO-D302" in payload["rules"]
 
 
 def test_deep_pass_selection_via_cli(capsys: pytest.CaptureFixture) -> None:
@@ -250,7 +250,6 @@ def test_deep_list_rules_includes_deep_pack(
         "REPRO-D201",
         "REPRO-D202",
         "REPRO-D203",
-        "REPRO-D301",
         "REPRO-D302",
     ):
         assert rule_id in out

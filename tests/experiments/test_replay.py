@@ -7,7 +7,14 @@ import pytest
 
 from repro.cloud import HOUR, SpotTrace
 from repro.core import OnDemandOnlyPolicy, even_spread_policy, round_robin_policy, spothedge
-from repro.experiments import ReplayConfig, ReplayResult, TraceReplayer, erlang_c_wait, estimate_latency
+from repro.experiments import (
+    ENGINES,
+    ReplayConfig,
+    ReplayResult,
+    TraceReplayer,
+    erlang_c_wait,
+    estimate_latency,
+)
 from repro.workloads import poisson_workload
 
 Z1, Z2, Z3 = "aws:r1:r1a", "aws:r1:r1b", "aws:r2:r2a"
@@ -71,6 +78,17 @@ class TestReplayer:
             results.append(replayer.run(spothedge([Z1, Z2, Z3])))
         np.testing.assert_array_equal(results[0].ready_series, results[1].ready_series)
         assert results[0].relative_cost == results[1].relative_cost
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_selection_outside_spot_zones_is_a_value_error(self, engine):
+        replayer = TraceReplayer(trace_with(full()), ReplayConfig(n_tar=2), engine=engine)
+        policy = round_robin_policy(["aws:r9:r9a"])
+        with pytest.raises(ValueError) as excinfo:
+            replayer.run(policy, spot_zones=[Z1, Z2])
+        message = str(excinfo.value)
+        assert repr(policy.name) in message
+        assert "'aws:r9:r9a'" in message
+        assert repr([Z1, Z2]) in message
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
