@@ -67,7 +67,6 @@ def robustness_matrix() -> None:
         scenarios,
         ["SpotHedge", "EvenSpread"],
         seed=SEED,
-        use_cache=False,
     )
     print(f"\nscorecard on {trace.name} (baselines: {scorecard.baselines})")
     for score in scorecard.to_dict()["scores"]:

@@ -17,11 +17,8 @@ fault-free baseline run per policy — and condenses the outcomes into a
 * ``od_peak`` — the largest on-demand fleet the policy fell back to.
 
 The matrix fans out through :func:`~repro.experiments.sweep.grid_sweep`
-(process-pool parallel, deterministic ordering) and individual replays
-go through the content-addressed
-:class:`~repro.experiments.results.ReplayCache` — chaos runs key
-differently from fault-free runs because the compiled trace carries the
-scenario digest.  Every point uses the *same* seed, so all policies
+(process-pool parallel, deterministic ordering), and every cell is
+replayed afresh.  Every point uses the *same* seed, so all policies
 face the identical storm realisation, mirroring the paper's concurrent
 baseline deployments.  The scorecard JSON is canonical (sorted keys and
 rows, plain Python scalars): the same matrix twice produces
@@ -42,7 +39,6 @@ from repro.chaos.overlay import compile_scenario
 from repro.chaos.spec import ScenarioSpec
 from repro.cloud.traces import SpotTrace
 from repro.experiments.replay import ReplayConfig, ReplayResult, TraceReplayer
-from repro.experiments.results import ReplayCache
 from repro.experiments.sweep import grid_sweep
 from repro.serving.registry import POLICIES
 from repro.telemetry.events import EventBus
@@ -62,9 +58,7 @@ def _matrix_point(
     trace: SpotTrace,
     scenarios: Mapping[str, ScenarioSpec],
     config: ReplayConfig,
-    use_cache: bool,
     seed: int,
-    engine: str = "hybrid",
     *,
     scenario: str,
     policy: str,
@@ -84,26 +78,14 @@ def _matrix_point(
         effective = compiled.trace
         cold_start = compiled.cold_start_factors
         prices = compiled.price_factors
-    cache = ReplayCache() if use_cache else None
-    if cache is not None:
-        # The compiled trace's digest folds in the scenario digest, so
-        # chaos cells never hit a fault-free entry (and vice versa).
-        key = ReplayCache.key(effective, policy, None, config, seed)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     replayer = TraceReplayer(
         effective,
         config,
         seed=seed,
         cold_start_factors=cold_start,
         zone_price_factors=prices,
-        engine=engine,
     )
-    result = replayer.run(POLICIES.get(policy)(effective.zone_ids))
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    return replayer.run(POLICIES.get(policy)(effective.zone_ids))
 
 
 #: Buckets in the scorecard's downsampled metric series.
@@ -241,20 +223,13 @@ def run_matrix(
     config: Optional[ReplayConfig] = None,
     seed: int = 0,
     workers: int = 1,
-    use_cache: bool = True,
     telemetry: Optional[EventBus] = None,
-    engine: str = "hybrid",
 ) -> ChaosScorecard:
     """Replay every policy × (baseline + scenarios) cell and score it.
 
     ``telemetry`` receives the usual per-point
     :class:`~repro.telemetry.events.SweepProgress` events.  Replay
     errors propagate (a broken matrix must not produce a scorecard).
-
-    ``engine`` selects the replay engine for every cell (the chaos
-    overlays' per-step cold-start/price factor rows feed the hybrid
-    data plane natively); scorecards are byte-identical across engines,
-    and cache entries are shared between them for the same reason.
     """
     config = config or ReplayConfig()
     names = [s.name for s in scenarios]
@@ -274,7 +249,7 @@ def run_matrix(
         "policy": list(policies),
     }
     points = grid_sweep(
-        partial(_matrix_point, trace, by_name, config, use_cache, seed, engine),
+        partial(_matrix_point, trace, by_name, config, seed),
         grid,
         raise_errors=True,
         workers=workers,

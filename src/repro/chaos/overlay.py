@@ -6,11 +6,7 @@
 :class:`CompiledScenario`:
 
 * a **transformed trace** with the scenario's capacity effects
-  (preemption storms, blackouts) applied on the trace grid, carrying
-  ``chaos_digest`` so its content digest — and therefore every
-  :class:`~repro.experiments.results.ReplayCache` key derived from it —
-  differs from the pristine trace even when the grid itself is
-  untouched;
+  (preemption storms, blackouts) applied on the trace grid;
 * **per-step overlay rows** for effects the grid cannot express:
   cold-start multipliers and per-zone price multipliers, consumed by
   :class:`~repro.experiments.replay.TraceReplayer`;
@@ -64,8 +60,8 @@ class CompiledScenario:
     """A scenario resolved against one trace and one seed."""
 
     scenario: ScenarioSpec
-    #: The base trace with capacity effects applied and ``chaos_digest``
-    #: set; replay/simulate this instead of the pristine trace.
+    #: The base trace with capacity effects applied; replay/simulate
+    #: this instead of the pristine trace.
     trace: SpotTrace
     #: Per-step cold-start multipliers (product of active spikes), or
     #: ``None`` when the scenario has no :class:`ColdStartSpike`.
@@ -265,13 +261,7 @@ def compile_scenario(
         else:  # pragma: no cover - registry and compiler must stay in sync
             raise TypeError(f"no compiler for injection {injection!r}")
 
-    chaos_trace = SpotTrace(
-        trace.name,
-        trace.zone_ids,
-        trace.step,
-        capacity,
-        chaos_digest=scenario.digest(),
-    )
+    chaos_trace = SpotTrace(trace.name, trace.zone_ids, trace.step, capacity)
     log.sort(key=lambda record: record.time)
     return CompiledScenario(
         scenario=scenario,

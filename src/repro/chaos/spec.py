@@ -17,7 +17,7 @@ storm's correlated hit draws) consume RNG streams derived from the run
 seed at *compile* time (:func:`repro.chaos.overlay.compile_scenario`),
 never at definition time, so the same ``(scenario, trace, seed)``
 triple always produces the same faults.  :meth:`ScenarioSpec.digest`
-is a content hash of the canonical JSON form and keys result caches.
+is a content hash of the canonical JSON form.
 """
 
 from __future__ import annotations
@@ -331,13 +331,8 @@ class ScenarioSpec:
         return cls.from_json(Path(path).read_text())
 
     def digest(self) -> str:
-        """Content digest of the canonical JSON form.
-
-        Folded into the transformed trace's digest by
-        :func:`repro.chaos.overlay.compile_scenario`, which is how
-        :class:`repro.experiments.results.ReplayCache` keys chaos runs
-        apart from no-chaos runs over the same base trace.
-        """
+        """Content digest of the canonical JSON form: equal digests mean
+        equal scenarios."""
         canonical = json.dumps(
             self.to_dict(), sort_keys=True, separators=(",", ":")
         )

@@ -68,7 +68,6 @@ from repro.core import spothedge
 from repro.experiments import (
     ENGINES,
     FLEETS,
-    ReplayCache,
     ReplayConfig,
     ResultStore,
     TraceReplayer,
@@ -82,11 +81,12 @@ from repro.serving import MODEL_PROFILES, POLICIES, ServiceSpec, SkyService
 from repro.telemetry import (
     EventBus,
     JsonlSink,
-    PrometheusSnapshot,
+    MetricsSink,
     configure_logging,
     format_summary,
     read_events,
 )
+from repro.telemetry.render import _table
 from repro.workloads import WORKLOAD_KINDS, arena_workload, make_workload
 
 __all__ = ["build_parser", "main"]
@@ -132,15 +132,7 @@ def _policy_factory(name: str) -> Callable:
 
 
 def _print_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    widths = [
-        max(len(str(headers[i])), *(len(str(r[i])) for r in rows)) if rows else len(str(headers[i]))
-        for i in range(len(headers))
-    ]
-    line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
-    print(line)
-    print("-" * len(line))
-    for row in rows:
-        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
+    print("\n".join(_table(headers, rows)))
 
 
 # ----------------------------------------------------------------------
@@ -169,7 +161,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     policy = spothedge(trace.zone_ids, num_overprovision=args.overprovision)
     telemetry = None
     jsonl_sink = None
-    prom_sink = None
+    metrics_sink = None
     if args.events or args.metrics_out:
         telemetry = EventBus()
         if args.events:
@@ -179,8 +171,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 raise SystemExit(f"cannot write event log {args.events}: {exc}")
             telemetry.attach(jsonl_sink)
         if args.metrics_out:
-            prom_sink = PrometheusSnapshot()
-            telemetry.attach(prom_sink)
+            metrics_sink = MetricsSink()
+            telemetry.attach(metrics_sink)
     profile = MODEL_PROFILES[args.profile]()
     if args.batch_slope:
         profile = dataclasses.replace(profile, decode_batch_slope=args.batch_slope)
@@ -216,8 +208,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if jsonl_sink is not None:
         print(f"\nwrote {jsonl_sink.count} events to {args.events} "
               f"(summarise with: repro events {args.events})")
-    if prom_sink is not None:
-        Path(args.metrics_out).write_text(prom_sink.render())
+    if metrics_sink is not None:
+        Path(args.metrics_out).write_text(metrics_sink.registry.render_prometheus())
         print(f"wrote Prometheus metrics snapshot to {args.metrics_out}")
     return 0
 
@@ -421,8 +413,6 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def _sweep_point(
     trace: SpotTrace,
-    use_cache: bool,
-    engine: str = "hybrid",
     *,
     policy: str = "SpotHedge",
     n_tar: int = 4,
@@ -431,23 +421,10 @@ def _sweep_point(
     seed: int = 0,
 ):
     """One replay grid point.  Module-level (with the fixed arguments
-    bound via ``functools.partial``) so parallel sweeps can pickle it.
-
-    The engine is deliberately not part of the cache key: all engines
-    produce byte-identical results, so a cached discrete replay is a
-    valid hit for a hybrid sweep and vice versa."""
+    bound via ``functools.partial``) so parallel sweeps can pickle it."""
     config = ReplayConfig(n_tar=n_tar, cold_start=cold_start, k=k)
-    cache = ReplayCache() if use_cache else None
-    if cache is not None:
-        key = ReplayCache.key(trace, policy, None, config, seed)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-    replayer = TraceReplayer(trace, config, seed=seed, engine=engine)
-    result = replayer.run(POLICIES.get(policy)(trace.zone_ids))
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    replayer = TraceReplayer(trace, config, seed=seed)
+    return replayer.run(POLICIES.get(policy)(trace.zone_ids))
 
 
 class _Progress:
@@ -466,11 +443,6 @@ def _parse_axis(raw: str, cast: Callable, option: str) -> list:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    cache = ReplayCache()
-    if args.clear_cache:
-        removed = cache.clear()
-        print(f"cleared {removed} cached replay result(s) from {cache.root}")
-        return 0
     trace = _load_trace(args.trace)
     policies = _parse_axis(args.policies, str, "--policies")
     for name in policies:
@@ -481,13 +453,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         "cold_start": _parse_axis(args.cold_start, float, "--cold-start"),
         "k": _parse_axis(args.k, float, "--k"),
     }
-    use_cache = not args.no_cache
-    entries_before = len(cache) if use_cache else 0
     telemetry = EventBus([_Progress()]) if args.progress else None
     import functools
 
     points = grid_sweep(
-        functools.partial(_sweep_point, trace, use_cache, args.engine, seed=args.seed),
+        functools.partial(_sweep_point, trace, seed=args.seed),
         grid,
         workers=args.workers,
         telemetry=telemetry,
@@ -505,11 +475,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     print(f"trace {trace.name}: {len(points)} points, seed={args.seed}, "
           f"workers={args.workers}")
     _print_table(["point", "availability", "cost vs OD", "preemptions"], rows)
-    if use_cache:
-        new_entries = len(cache) - entries_before
-        reused = sum(1 for p in points if p.ok) - new_entries
-        print(f"\ncache {cache.root}: {new_entries} new, {max(reused, 0)} reused "
-              "(clear with: repro sweep --clear-cache)")
     if args.json:
         store = ResultStore(
             metadata={"trace": trace.name, "seed": args.seed, "grid": grid}
@@ -537,7 +502,6 @@ def _cmd_hetero_frontier(args: argparse.Namespace) -> int:
         seed=args.seed,
         duration=duration,
         workers=args.workers,
-        use_cache=not args.no_cache,
     )
     pareto = pareto_fleets(points)
     rows = []
@@ -740,9 +704,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
             config=config,
             seed=args.seed,
             workers=args.workers,
-            use_cache=not args.no_cache,
             telemetry=telemetry,
-            engine=args.engine,
         )
     except ValueError as exc:
         raise SystemExit(str(exc))
@@ -877,7 +839,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser(
         "sweep",
-        help="grid-sweep replay policies over a trace (parallel + cached)",
+        help="grid-sweep replay policies over a trace (parallel)",
     )
     sweep.add_argument("--trace", default="gcp1", help="canned name or trace file")
     sweep.add_argument("--policies", default="SpotHedge",
@@ -896,16 +858,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size; results are identical for any value "
              "(default: $REPRO_SWEEP_WORKERS or 1)",
     )
-    sweep.add_argument("--no-cache", action="store_true",
-                       help="bypass the on-disk replay result cache")
-    sweep.add_argument("--clear-cache", action="store_true",
-                       help="empty the replay cache and exit")
     sweep.add_argument("--progress", action="store_true",
                        help="print per-point progress to stderr")
     sweep.add_argument("--json", help="also write raw results to this JSON file")
-    sweep.add_argument("--engine", choices=ENGINES, default="hybrid",
-                       help="replay engine for every grid point; results are "
-                            "byte-identical across engines (default: hybrid)")
     sweep.set_defaults(func=_cmd_sweep)
 
     hetero = sub.add_parser(
@@ -927,8 +882,6 @@ def build_parser() -> argparse.ArgumentParser:
     frontier.add_argument("--duration", type=float, default=None,
                           help="window the base trace to this many hours")
     frontier.add_argument("--workers", type=int, default=1)
-    frontier.add_argument("--no-cache", action="store_true",
-                          help="bypass the replay cache")
     frontier.add_argument("--json", help="write the byte-stable frontier JSON here")
     frontier.set_defaults(func=_cmd_hetero_frontier)
 
@@ -991,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     chaos_run = chaos_sub.add_parser(
         "run",
-        help="run the policy x scenario robustness matrix (parallel + cached)",
+        help="run the policy x scenario robustness matrix (parallel)",
     )
     chaos_run.add_argument("--trace", default="gcp1", help="canned name or trace file")
     chaos_run.add_argument("--scenarios", default="preemption-storm",
@@ -1012,15 +965,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="process-pool size; results are identical for any value "
              "(default: $REPRO_SWEEP_WORKERS or 1)",
     )
-    chaos_run.add_argument("--no-cache", action="store_true",
-                           help="bypass the on-disk replay result cache")
     chaos_run.add_argument("--progress", action="store_true",
                            help="print per-point progress to stderr")
     chaos_run.add_argument("--out", help="write the scorecard JSON here")
-    chaos_run.add_argument("--engine", choices=ENGINES, default="hybrid",
-                           help="replay engine for every matrix cell; "
-                                "scorecards are byte-identical across "
-                                "engines (default: hybrid)")
     chaos_run.set_defaults(func=_cmd_chaos_run)
 
     lint = sub.add_parser(

@@ -291,5 +291,4 @@ def make_hetero_trace(
         pool_ids,
         base.step,
         np.stack(rows),
-        chaos_digest=base.chaos_digest,
     )

@@ -70,8 +70,6 @@ class SpotTrace:
         zone_ids: Sequence[str],
         step: float,
         capacity: ArrayLike,
-        *,
-        chaos_digest: Optional[str] = None,
     ) -> None:
         grid: NDArray[np.int64] = np.asarray(capacity, dtype=np.int64)
         if grid.ndim != 2:
@@ -90,13 +88,6 @@ class SpotTrace:
         self.zone_ids = list(zone_ids)
         self.step = float(step)
         self.capacity = grid
-        #: Digest of the chaos scenario this trace was transformed by
-        #: (:func:`repro.chaos.overlay.compile_scenario`), ``None`` for
-        #: pristine traces.  Folded into :meth:`digest` so result caches
-        #: never serve a no-chaos entry for a chaos run — even when the
-        #: scenario leaves the capacity grid itself unchanged (e.g. pure
-        #: cold-start or price injections).
-        self.chaos_digest = chaos_digest
         self._zone_index = {zone_id: i for i, zone_id in enumerate(self.zone_ids)}
         #: Memoised content digest; traces are immutable by convention.
         self._digest: Optional[str] = None
@@ -108,24 +99,18 @@ class SpotTrace:
         """Content digest of the trace (name, zones, step, capacity).
 
         Stable across processes and platform word sizes — the capacity
-        grid is hashed in a fixed dtype and byte order — so it can key
-        on-disk caches of replay results (see
-        :class:`repro.experiments.results.ReplayCache`).  Computed once
-        and memoised; traces are immutable by convention.
+        grid is hashed in a fixed dtype and byte order — so artifacts
+        such as the chaos scorecard can name the exact trace they were
+        computed on.  Computed once and memoised; traces are immutable
+        by convention.
         """
         if self._digest is not None:
             return self._digest
         hasher = hashlib.sha256()
-        fields: dict[str, object] = {
-            "name": self.name,
-            "zones": self.zone_ids,
-            "step": self.step,
-        }
-        if self.chaos_digest is not None:
-            # Only present for chaos-transformed traces, so pristine
-            # traces keep their pre-chaos digests (and cache entries).
-            fields["chaos"] = self.chaos_digest
-        header = json.dumps(fields, sort_keys=True)
+        header = json.dumps(
+            {"name": self.name, "zones": self.zone_ids, "step": self.step},
+            sort_keys=True,
+        )
         hasher.update(header.encode())
         hasher.update(np.ascontiguousarray(self.capacity, dtype="<i8").tobytes())
         self._digest = hasher.hexdigest()
@@ -211,7 +196,6 @@ class SpotTrace:
             list(zone_ids),
             self.step,
             rows,
-            chaos_digest=self.chaos_digest,
         )
 
     def window(self, start: float, end: float, name: Optional[str] = None) -> SpotTrace:
@@ -231,22 +215,20 @@ class SpotTrace:
             self.zone_ids,
             self.step,
             self.capacity[:, first:last],
-            chaos_digest=self.chaos_digest,
         )
 
     # ------------------------------------------------------------------
     # Serialisation
     # ------------------------------------------------------------------
     def to_json(self) -> str:
-        payload: dict[str, object] = {
-            "name": self.name,
-            "zone_ids": self.zone_ids,
-            "step": self.step,
-            "capacity": self.capacity.tolist(),
-        }
-        if self.chaos_digest is not None:
-            payload["chaos_digest"] = self.chaos_digest
-        return json.dumps(payload)
+        return json.dumps(
+            {
+                "name": self.name,
+                "zone_ids": self.zone_ids,
+                "step": self.step,
+                "capacity": self.capacity.tolist(),
+            }
+        )
 
     @classmethod
     def from_json(cls, text: str) -> SpotTrace:
@@ -256,7 +238,6 @@ class SpotTrace:
             zone_ids=data["zone_ids"],
             step=data["step"],
             capacity=np.asarray(data["capacity"], dtype=np.int64),
-            chaos_digest=data.get("chaos_digest"),
         )
 
     def save(self, path: str | Path) -> None:

@@ -57,7 +57,7 @@ DIRECTIVE_RULE = deep_rule(
 TAINT_RULE = deep_rule(
     "REPRO-D101",
     "rng-taint",
-    "Replay results are cached and compared byte-for-byte across "
+    "Replay results are compared byte-for-byte across "
     "engines and sweep workers; a draw that does not trace back to a "
     "seeded named stream (via parameters, derive_seed construction, or "
     "RngRegistry.stream) makes output depend on hidden shared state.",

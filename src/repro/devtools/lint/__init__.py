@@ -1,7 +1,7 @@
 """``repro lint`` — the repository's determinism & simulation-hygiene linter.
 
 The simulator's headline guarantees — parallel sweeps byte-identical to
-serial runs, replay results cacheable by ``(trace digest, policy,
+serial runs, replay results a pure function of ``(trace, policy,
 config, seed)``, policy comparisons against identical preemption
 realisations — all rest on source-level discipline that Python does not
 enforce: no unseeded randomness, no wall-clock reads in simulated code,

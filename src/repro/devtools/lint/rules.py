@@ -7,7 +7,7 @@ Each rule encodes one invariant the reproduction's guarantees rest on
 id        name                  invariant protected
 ========  ====================  ==================================================
 R001      rng-discipline        every random draw comes from a seeded, named
-                                stream (replay cache keys, parallel equivalence)
+                                stream (seeded replays, parallel equivalence)
 T001      no-wall-clock         simulated code never reads real time (results
                                 must be a function of trace + config + seed)
 O001      ordered-iteration     no order-sensitive work driven by unordered
@@ -35,7 +35,7 @@ __all__ = ["ALL_RULES", "rules_by_id"]
 
 #: Directories whose randomness must be threaded through
 #: ``repro.sim.rng.derive_seed`` — the replay / policy / experiment
-#: code whose outputs are cached and compared across runs, plus the
+#: code whose outputs are compared across runs, plus the
 #: telemetry layer (metric aggregation must never perturb or depend on
 #: global RNG state).
 SEEDED_DIRS = (
@@ -144,9 +144,9 @@ class RngDisciplineRule(Rule):
     id = "REPRO-R001"
     name = "rng-discipline"
     rationale = (
-        "The ReplayCache is keyed on (trace digest, policy, config, seed) "
-        "and parallel sweeps are asserted byte-identical to serial runs; "
-        "any draw from the stdlib `random` module or numpy's hidden "
+        "Replay results must be a pure function of (trace, policy, config, "
+        "seed), and parallel sweeps are asserted byte-identical to serial "
+        "runs; any draw from the stdlib `random` module or numpy's hidden "
         "global RNG makes results depend on process-global state instead."
     )
     fix_hint = (
@@ -195,7 +195,7 @@ class RngDisciplineRule(Rule):
         self, node: ast.Call, ctx: FileContext
     ) -> Iterator[Diagnostic]:
         # Seed-derivation is only mandated in the replay/policy/
-        # experiment code whose outputs are cached and compared.
+        # experiment code whose outputs are compared across runs.
         if not ctx.in_dir(*SEEDED_DIRS):
             return
         if not node.args:
@@ -226,7 +226,7 @@ class NoWallClockRule(Rule):
     name = "no-wall-clock"
     rationale = (
         "Replay results must be a pure function of (trace, config, seed) "
-        "so they can be cached and compared; a wall-clock read makes "
+        "so they can be compared across runs; a wall-clock read makes "
         "output depend on when the experiment ran.  Wall time is only "
         "legitimate at the observability edge (telemetry/ timestamps, "
         "CLI progress)."

@@ -27,9 +27,7 @@ from repro.experiments.replay import (
     estimate_latency,
 )
 from repro.experiments.results import (
-    ReplayCache,
     ResultStore,
-    replay_result_from_dict,
     replay_result_to_dict,
     service_report_to_dict,
 )
@@ -39,7 +37,6 @@ __all__ = [
     "ENGINES",
     "EndToEndResult",
     "FLEETS",
-    "ReplayCache",
     "ReplayConfig",
     "ReplayResult",
     "ResultStore",
@@ -52,7 +49,6 @@ __all__ = [
     "estimate_latency",
     "frontier_to_json",
     "pareto_fleets",
-    "replay_result_from_dict",
     "replay_result_to_dict",
     "run_comparison",
     "run_fleet",

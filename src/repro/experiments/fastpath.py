@@ -45,9 +45,7 @@ two engines differ only in the skipped steps; the result is
 byte-identical on every :class:`~repro.experiments.replay.ReplayResult`
 field, with identical telemetry event content — property-tested in
 ``tests/properties`` over random traces, policies, weights and chaos
-overlays.  Because results are engine-independent,
-:class:`~repro.experiments.results.ReplayCache` keys do not include the
-engine.  ``TraceReplayer.fast_forwarded_steps`` counts the steps a run
+overlays.  ``TraceReplayer.fast_forwarded_steps`` counts the steps a run
 skipped.
 """
 

@@ -19,8 +19,7 @@ directly comparable across fleets.
 
 Results are plain :class:`~repro.experiments.replay.ReplayResult`\\ s
 produced by the default (hybrid) replay engine with
-``zone_capacity_weights``/``zone_price_multipliers`` set, cached
-through :class:`~repro.experiments.results.ReplayCache`, swept with
+``zone_capacity_weights``/``zone_price_multipliers`` set, swept with
 :func:`~repro.experiments.sweep.grid_sweep`, and serialised by
 :func:`frontier_to_json` with sorted keys — byte-identical across
 processes and ``PYTHONHASHSEED`` values.
@@ -43,7 +42,7 @@ from repro.cloud.pricing import PriceBook
 from repro.cloud.traces import aws1
 from repro.core.fleet import hetero_spothedge
 from repro.experiments.replay import ReplayConfig, ReplayResult, TraceReplayer
-from repro.experiments.results import ReplayCache, replay_result_to_dict
+from repro.experiments.results import replay_result_to_dict
 from repro.experiments.sweep import SweepPoint, grid_sweep
 
 __all__ = [
@@ -81,7 +80,6 @@ def run_fleet(
     n_tar: int = 4,
     seed: int = 0,
     duration: Optional[float] = None,
-    use_cache: bool = True,
 ) -> ReplayResult:
     """Replay one fleet composition over the AWS 1 base trace.
 
@@ -117,24 +115,13 @@ def run_fleet(
             pools, catalog, reference=REFERENCE_ACCELERATOR
         ),
     )
-    policy_name = f"SpotHedge-{fleet}"
-    cache = ReplayCache() if use_cache else None
-    if cache is not None:
-        key = ReplayCache.key(trace, policy_name, None, config, seed)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     policy = hetero_spothedge(
         pools,
         pool_costs=pool_spot_costs(pools, book, reference=REFERENCE_ACCELERATOR),
         pool_weights=config.zone_capacity_weights,
-        name=policy_name,
+        name=f"SpotHedge-{fleet}",
     )
-    replayer = TraceReplayer(trace, config, seed=seed)
-    result = replayer.run(policy)
-    if cache is not None:
-        cache.put(key, result)
-    return result
+    return TraceReplayer(trace, config, seed=seed).run(policy)
 
 
 def run_frontier(
@@ -144,7 +131,6 @@ def run_frontier(
     seed: int = 0,
     duration: Optional[float] = None,
     workers: int = 1,
-    use_cache: bool = True,
 ) -> list[SweepPoint]:
     """Sweep :func:`run_fleet` over the fleet compositions.
 
@@ -156,9 +142,7 @@ def run_frontier(
     for name in names:
         if name not in FLEETS:
             raise ValueError(f"unknown fleet {name!r}: expected one of {list(FLEETS)}")
-    run = functools.partial(
-        run_fleet, n_tar=n_tar, seed=seed, duration=duration, use_cache=use_cache
-    )
+    run = functools.partial(run_fleet, n_tar=n_tar, seed=seed, duration=duration)
     return grid_sweep(run, {"fleet": names}, workers=workers)
 
 

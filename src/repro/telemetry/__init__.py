@@ -6,7 +6,7 @@ The observability layer of the reproduction (see
 ``repro.telemetry.events``
     Typed, timestamped events plus the :class:`EventBus` they flow over.
 ``repro.telemetry.sinks``
-    Ring buffer, JSONL file, and Prometheus-text-format sinks.
+    Ring buffer and JSONL file sinks.
 ``repro.telemetry.metrics``
     Typed time-series registry: counters, gauges, and fixed-bucket
     histograms with deterministic percentile estimation, fed from the
@@ -91,7 +91,6 @@ from repro.telemetry.render import EventLogSummary, format_summary, summarize
 from repro.telemetry.report import RunReport, build_report, render_dashboard
 from repro.telemetry.sinks import (
     JsonlSink,
-    PrometheusSnapshot,
     RingBufferSink,
     iter_events,
     read_events,
@@ -138,7 +137,6 @@ __all__ = [
     "PreemptWarning",
     "ProbeFailure",
     "ProfilePhase",
-    "PrometheusSnapshot",
     "ReplicaLaunch",
     "ReplicaLaunchFailed",
     "ReplicaLoadSample",

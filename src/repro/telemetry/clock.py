@@ -2,8 +2,8 @@
 
 Simulated code must never read real time — replay results are required
 to be a pure function of ``(trace, config, seed)`` so they can be
-cached (:class:`~repro.experiments.results.ReplayCache`) and compared
-across serial and parallel runs.  ``repro lint`` (rule ``REPRO-T001``)
+compared byte for byte across engines and across serial and parallel
+runs.  ``repro lint`` (rule ``REPRO-T001``)
 bans ``time.time`` / ``time.monotonic`` / ``datetime.now`` everywhere
 outside ``telemetry/`` and the CLI.
 

@@ -324,8 +324,7 @@ class SweepProgress(TelemetryEvent):
     """One grid point of a parameter sweep finished.
 
     ``time`` is wall-clock (``time.monotonic``), not simulated time —
-    sweeps are an offline driver around many simulations.  ``cached``
-    marks points served from the on-disk replay cache.
+    sweeps are an offline driver around many simulations.
     """
 
     kind: ClassVar[str] = "sweep.point"
@@ -334,7 +333,6 @@ class SweepProgress(TelemetryEvent):
     total: int
     label: str
     ok: bool = True
-    cached: bool = False
 
 
 @_register

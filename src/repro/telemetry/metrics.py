@@ -383,9 +383,6 @@ class MetricRegistry:
         Histograms render as ``_bucket``/``_sum``/``_count`` per the
         exposition format; gauges render their last value.
         """
-        # Local import: sinks imports events, not metrics — no cycle.
-        from repro.telemetry.sinks import _escape_help, _escape_label
-
         lines: list[str] = []
         for family in self.families():
             name = family.name
@@ -422,6 +419,18 @@ class MetricRegistry:
                     suffix = f"{{{base}}}" if base else ""
                     lines.append(f"{name}{suffix} {float(value)}")
         return "\n".join(lines) + "\n"
+
+
+def _escape_label(value: str) -> str:
+    """Escape a label *value* per the Prometheus text exposition format:
+    backslash, double-quote, and line-feed."""
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
+
+
+def _escape_help(text: str) -> str:
+    """Escape HELP text per the exposition format (backslash and
+    line-feed only — quotes are legal in HELP)."""
+    return text.replace("\\", "\\\\").replace("\n", "\\n")
 
 
 class MetricsSink:

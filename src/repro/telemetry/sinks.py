@@ -1,29 +1,29 @@
-"""Event sinks: in-memory ring buffer, JSONL file, Prometheus snapshot.
+"""Event sinks: in-memory ring buffer and JSONL file.
 
 A sink is anything with ``accept(event)`` (and optionally ``close()``).
-Three are provided:
+Two are provided here:
 
 * :class:`RingBufferSink` — bounded in-memory buffer, the default for
   tests and interactive use;
 * :class:`JsonlSink` — one JSON object per line, the durable format the
-  ``repro events`` CLI subcommand reads back;
-* :class:`PrometheusSnapshot` — aggregates event counts (and optional
-  registered gauges) into the Prometheus text exposition format, for
-  scraping-style integrations without running a server.
+  ``repro events`` CLI subcommand reads back.
+
+Prometheus text export is
+:meth:`~repro.telemetry.metrics.MetricRegistry.render_prometheus` over a
+:class:`~repro.telemetry.metrics.MetricsSink`'s registry.
 """
 
 from __future__ import annotations
 
 import json
-from collections import Counter as _Counter, deque
+from collections import deque
 from pathlib import Path
-from typing import Callable, Iterator, Optional, TextIO, Union
+from typing import Iterator, Optional, TextIO, Union
 
 from repro.telemetry.events import EventsDropped, TelemetryEvent, event_from_dict
 
 __all__ = [
     "JsonlSink",
-    "PrometheusSnapshot",
     "RingBufferSink",
     "iter_events",
     "read_events",
@@ -127,74 +127,3 @@ def iter_events(path: Union[str, Path]) -> Iterator[TelemetryEvent]:
 def read_events(path: Union[str, Path]) -> list[TelemetryEvent]:
     """Load a whole JSONL event log into typed events."""
     return list(iter_events(path))
-
-
-def _escape_label(value: str) -> str:
-    """Escape a label *value* per the Prometheus text exposition format:
-    backslash, double-quote, and line-feed."""
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def _escape_help(text: str) -> str:
-    """Escape HELP text per the exposition format (backslash and
-    line-feed only — quotes are legal in HELP)."""
-    return text.replace("\\", "\\\\").replace("\n", "\\n")
-
-
-class PrometheusSnapshot:
-    """Aggregates events into Prometheus text-format metrics.
-
-    Event counts become ``repro_events_total{kind=...,zone=...}``
-    counters (``zone=""`` for events without a zone).  Callers may also
-    register gauges — callables sampled at :meth:`render` time — for
-    state that is not event-shaped, e.g. accrued cost from the billing
-    meter.
-    """
-
-    def __init__(self) -> None:
-        self._counts: _Counter[tuple[str, str]] = _Counter()
-        self._gauges: list[tuple[str, dict[str, str], Callable[[], float], str]] = []
-        self.last_event_time = float("nan")
-
-    def accept(self, event: TelemetryEvent) -> None:
-        zone = getattr(event, "zone", "")
-        self._counts[(event.kind, zone)] += 1
-        self.last_event_time = event.time
-
-    def register_gauge(
-        self,
-        name: str,
-        sample: Callable[[], float],
-        *,
-        labels: Optional[dict[str, str]] = None,
-        help_text: str = "",
-    ) -> None:
-        """Register a gauge sampled lazily when the snapshot renders."""
-        self._gauges.append((name, dict(labels or {}), sample, help_text))
-
-    def counts(self) -> dict[tuple[str, str], int]:
-        return dict(self._counts)
-
-    def render(self) -> str:
-        """The Prometheus text exposition of everything collected."""
-        lines = [
-            "# HELP repro_events_total Telemetry events observed, by kind and zone.",
-            "# TYPE repro_events_total counter",
-        ]
-        for (kind, zone), count in sorted(self._counts.items()):
-            labels = f'kind="{_escape_label(kind)}",zone="{_escape_label(zone)}"'
-            lines.append(f"repro_events_total{{{labels}}} {count}")
-        seen_gauges: set[str] = set()
-        for name, labels, sample, help_text in self._gauges:
-            if name not in seen_gauges:
-                seen_gauges.add(name)
-                if help_text:
-                    lines.append(f"# HELP {name} {_escape_help(help_text)}")
-                lines.append(f"# TYPE {name} gauge")
-            label_str = ",".join(
-                f'{key}="{_escape_label(str(value))}"'
-                for key, value in sorted(labels.items())
-            )
-            rendered = f"{{{label_str}}}" if label_str else ""
-            lines.append(f"{name}{rendered} {float(sample())}")
-        return "\n".join(lines) + "\n"

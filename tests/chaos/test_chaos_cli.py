@@ -48,7 +48,6 @@ class TestRun:
             "--trace", "gcp1",
             "--scenarios", "capacity-blackout",
             "--policies", "SpotHedge",
-            "--no-cache",
             "--out", str(out_path),
         ]) == 0
         out = capsys.readouterr().out
@@ -67,7 +66,6 @@ class TestRun:
             "--trace", "gcp1",
             "--scenarios", str(path),
             "--policies", "OnDemand",
-            "--no-cache",
         ]) == 0
         assert "price-surge" in capsys.readouterr().out
 
@@ -78,9 +76,8 @@ class TestRun:
                 "--trace", "gcp1",
                 "--scenarios", "price-surge",
                 "--policies", "Nope",
-                "--no-cache",
-            ])
+                ])
 
     def test_run_unknown_scenario_fails(self):
         with pytest.raises(SystemExit):
-            main(["chaos", "run", "--scenarios", "not-real", "--no-cache"])
+            main(["chaos", "run", "--scenarios", "not-real"])

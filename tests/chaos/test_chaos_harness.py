@@ -1,4 +1,4 @@
-"""run_matrix / ChaosScorecard: determinism, cache keying, and the
+"""run_matrix / ChaosScorecard: determinism, scorecard shape, and the
 paper-facing sanity ordering under the bundled preemption storm."""
 
 import numpy as np
@@ -15,7 +15,7 @@ from repro.chaos import (
 )
 from repro.cloud import SpotTrace, gcp1
 from repro.core import spothedge
-from repro.experiments import ReplayCache, ReplayConfig, TraceReplayer
+from repro.experiments import ReplayConfig, TraceReplayer
 
 STEP = 300.0
 
@@ -73,16 +73,13 @@ class TestDeterminism:
                 ["SpotHedge", "EvenSpread"],
                 config=ReplayConfig(n_tar=3),
                 seed=5,
-                use_cache=False,
             ).to_json()
 
         assert once() == once()
 
     def test_workers_do_not_change_output(self):
         trace = bursty_trace()
-        kwargs = dict(
-            config=ReplayConfig(n_tar=3), seed=5, use_cache=False
-        )
+        kwargs = dict(config=ReplayConfig(n_tar=3), seed=5)
         serial = run_matrix(
             trace, [blackout_scenario()], ["SpotHedge"], **kwargs
         )
@@ -102,8 +99,8 @@ class TestDeterminism:
                 ),
             ),
         )
-        a = run_matrix(trace, [storm], ["SpotHedge"], seed=1, use_cache=False)
-        b = run_matrix(trace, [storm], ["SpotHedge"], seed=2, use_cache=False)
+        a = run_matrix(trace, [storm], ["SpotHedge"], seed=1)
+        b = run_matrix(trace, [storm], ["SpotHedge"], seed=2)
         assert a.to_json() != b.to_json()
 
 
@@ -115,7 +112,6 @@ class TestScorecardShape:
             [blackout_scenario()],
             ["SpotHedge", "OnDemand"],
             config=ReplayConfig(n_tar=3),
-            use_cache=False,
         )
         assert scorecard.trace == "bursty"
         assert scorecard.trace_digest == trace.digest()
@@ -143,35 +139,10 @@ class TestScorecardShape:
             bursty_trace(),
             [blackout_scenario()],
             ["SpotHedge"],
-            use_cache=False,
         )
         path = tmp_path / "card.json"
         scorecard.save(path)
         assert path.read_text() == scorecard.to_json() + "\n"
-
-
-class TestCacheKeying:
-    def test_chaos_and_baseline_cells_key_separately(self, tmp_path, monkeypatch):
-        """S2: the scenario digest folds into the replay-cache key, so a
-        chaos run and a fault-free run of the same (trace, policy,
-        config, seed) occupy distinct entries."""
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        cache = ReplayCache()
-        assert len(cache) == 0
-        trace = bursty_trace()
-        first = run_matrix(trace, [blackout_scenario()], ["SpotHedge"])
-        # 2 cells (baseline + blackout) -> 2 distinct entries.
-        assert len(cache) == 2
-        # Re-running is pure cache hits: no new entries, same bytes.
-        again = run_matrix(trace, [blackout_scenario()], ["SpotHedge"])
-        assert len(cache) == 2
-        assert again.to_json() == first.to_json()
-        # A different scenario adds exactly one entry (baseline reused).
-        other = ScenarioSpec(
-            "blackout-2", (CapacityBlackout(start=0.0, end=STEP * 10),)
-        )
-        run_matrix(trace, [other], ["SpotHedge"])
-        assert len(cache) == 3
 
 
 class TestPaperSanity:
@@ -185,7 +156,6 @@ class TestPaperSanity:
             [builtin_scenario("preemption-storm")],
             ["SpotHedge", "EvenSpread"],
             seed=0,
-            use_cache=False,
         )
         hedged = scorecard.cell("preemption-storm", "SpotHedge")
         spread = scorecard.cell("preemption-storm", "EvenSpread")

@@ -134,20 +134,6 @@ class TestCompile:
         row = compiled.price_factors[trace.zone_ids[1]]
         assert row[1] == 1.0 and row[2] == 4.0 and row[5] == 4.0 and row[6] == 1.0
 
-    def test_chaos_digest_separates_compiled_from_pristine(self):
-        trace = constant_trace()
-        pristine_digest = trace.digest()
-        scenario = ScenarioSpec("p", (PriceSurge(start=0.0, end=STEP),))
-        compiled = compile_scenario(scenario, trace)
-        # Price surges leave the grid untouched — only chaos_digest
-        # distinguishes the compiled trace.
-        assert (compiled.trace.capacity == trace.capacity).all()
-        assert compiled.trace.chaos_digest == scenario.digest()
-        assert compiled.trace.digest() != pristine_digest
-        # The pristine trace's digest is unchanged by the feature.
-        assert trace.digest() == pristine_digest
-        assert trace.chaos_digest is None
-
     def test_log_sorted_by_time(self):
         compiled = compile_scenario(
             builtin_scenario("kitchen-sink"), constant_trace(n_steps=72)

@@ -283,50 +283,3 @@ class TestDigest:
     def test_canned_traces_have_distinct_digests(self):
         digests = {t().digest() for t in (aws1, gcp1)}
         assert len(digests) == 2
-
-
-class TestChaosDigest:
-    """``chaos_digest`` (set by ``repro.chaos.overlay.compile_scenario``)
-    folds into the content digest so chaos replays key result caches
-    separately from fault-free replays of the same grid."""
-
-    def _trace(self, chaos_digest=None):
-        return SpotTrace(
-            "d", ["aws:r:a", "aws:r:b"], 60.0, np.full((2, 30), 3),
-            chaos_digest=chaos_digest,
-        )
-
-    def test_pristine_trace_has_no_chaos_digest(self):
-        assert self._trace().chaos_digest is None
-
-    def test_chaos_digest_changes_content_digest(self):
-        base = self._trace().digest()
-        assert self._trace(chaos_digest="a" * 64).digest() != base
-        assert (
-            self._trace(chaos_digest="a" * 64).digest()
-            != self._trace(chaos_digest="b" * 64).digest()
-        )
-        assert (
-            self._trace(chaos_digest="a" * 64).digest()
-            == self._trace(chaos_digest="a" * 64).digest()
-        )
-
-    def test_subset_and_window_propagate_chaos_digest(self):
-        trace = self._trace(chaos_digest="a" * 64)
-        assert trace.subset(["aws:r:b"]).chaos_digest == "a" * 64
-        assert trace.window(0.0, 600.0).chaos_digest == "a" * 64
-        # ... and pristine traces stay pristine through both.
-        assert self._trace().subset(["aws:r:b"]).chaos_digest is None
-
-    def test_json_round_trip_preserves_chaos_digest(self):
-        trace = self._trace(chaos_digest="c" * 64)
-        restored = SpotTrace.from_json(trace.to_json())
-        assert restored.chaos_digest == "c" * 64
-        assert restored.digest() == trace.digest()
-
-    def test_pristine_json_has_no_chaos_key(self):
-        """Pre-chaos trace files keep their exact bytes and digests."""
-        import json as _json
-
-        payload = _json.loads(self._trace().to_json())
-        assert "chaos_digest" not in payload

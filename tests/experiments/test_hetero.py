@@ -76,32 +76,23 @@ class TestHomogeneousEquivalence:
 class TestRunFleet:
     def test_unknown_fleet_rejected(self):
         with pytest.raises(ValueError, match="unknown fleet"):
-            run_fleet("tpu", use_cache=False)
+            run_fleet("tpu")
 
     def test_mixed_fleet_tracks_effective_capacity(self):
-        result = run_fleet("mixed", duration=WINDOW, use_cache=False)
+        result = run_fleet("mixed", duration=WINDOW)
         assert result.eff_availability is not None
         assert 0.0 <= result.eff_availability <= 1.0
         assert result.relative_cost > 0
 
-    def test_cache_round_trip(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        first = run_fleet("A100", duration=WINDOW)
-        again = run_fleet("A100", duration=WINDOW)
-        assert replay_result_to_dict(first, include_series=True) == \
-            replay_result_to_dict(again, include_series=True)
-        assert any(tmp_path.iterdir())
-
-
 class TestFrontier:
     def test_sweeps_fleets_in_declared_order(self):
-        points = run_frontier(["A10G", "mixed"], duration=WINDOW, use_cache=False)
+        points = run_frontier(["A10G", "mixed"], duration=WINDOW)
         assert [p.params["fleet"] for p in points] == ["A10G", "mixed"]
         assert all(p.ok for p in points)
 
     def test_unknown_fleet_rejected(self):
         with pytest.raises(ValueError):
-            run_frontier(["warp-core"], use_cache=False)
+            run_frontier(["warp-core"])
 
     def test_pareto_drops_dominated_fleets(self):
         def point(name, eff, cost):
@@ -122,7 +113,7 @@ class TestFrontier:
             "from repro.experiments import run_frontier, frontier_to_json\n"
             "import sys\n"
             "pts = run_frontier(['A10G', 'mixed'], n_tar=4, seed=0, "
-            f"duration={WINDOW}, use_cache=False)\n"
+            f"duration={WINDOW})\n"
             "sys.stdout.write(frontier_to_json(pts, n_tar=4, seed=0))\n"
         )
         import repro

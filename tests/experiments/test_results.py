@@ -96,131 +96,11 @@ class TestResultStore:
         assert len(store.experiments()) == 2
 
 
-class TestReplayResultFromDict:
-    def test_round_trip_inverse(self, sample_replay):
-        from repro.experiments import replay_result_from_dict
-
-        data = replay_result_to_dict(sample_replay, include_series=True)
-        restored = replay_result_from_dict(json.loads(json.dumps(data)))
-        assert restored.policy == sample_replay.policy
-        assert restored.availability == sample_replay.availability
-        assert restored.relative_cost == sample_replay.relative_cost
-        assert restored.preemptions == sample_replay.preemptions
-        assert restored.step == sample_replay.step
-        import numpy as np
-
-        np.testing.assert_array_equal(
-            restored.ready_series, sample_replay.ready_series
-        )
-
-    def test_missing_series_rejected(self, sample_replay):
-        from repro.experiments import replay_result_from_dict
-
-        data = replay_result_to_dict(sample_replay)  # series omitted
-        with pytest.raises(ValueError):
-            replay_result_from_dict(data)
-
-
-class TestReplayCache:
-    @pytest.fixture
-    def cache(self, tmp_path):
-        from repro.experiments import ReplayCache
-
-        return ReplayCache(tmp_path / "cache")
-
-    def test_round_trip(self, cache, sample_replay):
-        from repro.experiments import ReplayCache
-
-        trace = aws1()
-        key = ReplayCache.key(trace, "SpotHedge", None, ReplayConfig(n_tar=2), 0)
-        assert cache.get(key) is None
-        cache.put(key, sample_replay)
-        assert len(cache) == 1
-        hit = cache.get(key)
-        assert hit is not None
-        assert hit.availability == sample_replay.availability
-        import numpy as np
-
-        np.testing.assert_array_equal(hit.ready_series, sample_replay.ready_series)
-
-    def test_env_var_sets_default_root(self, tmp_path, monkeypatch):
-        from repro.experiments import ReplayCache
-
-        monkeypatch.setenv(ReplayCache.ENV_VAR, str(tmp_path / "envcache"))
-        cache = ReplayCache()
-        assert cache.root == tmp_path / "envcache"
-
-    def test_key_sensitive_to_every_input(self):
-        import numpy as np
-
-        from repro.cloud import SpotTrace
-        from repro.experiments import ReplayCache
-
-        zones = ["aws:r:a", "aws:r:b"]
-        trace = SpotTrace("t", zones, 60.0, np.full((2, 30), 3))
-        other_trace = SpotTrace("t", zones, 60.0, np.full((2, 30), 2))
-        base = ReplayCache.key(trace, "SpotHedge", None, ReplayConfig(n_tar=2), 0)
-        variants = [
-            ReplayCache.key(other_trace, "SpotHedge", None, ReplayConfig(n_tar=2), 0),
-            ReplayCache.key(trace, "RoundRobin", None, ReplayConfig(n_tar=2), 0),
-            ReplayCache.key(trace, "SpotHedge", {"n_extra": 1},
-                            ReplayConfig(n_tar=2), 0),
-            ReplayCache.key(trace, "SpotHedge", None, ReplayConfig(n_tar=3), 0),
-            ReplayCache.key(trace, "SpotHedge", None,
-                            ReplayConfig(n_tar=2, cold_start=0.0), 0),
-            ReplayCache.key(trace, "SpotHedge", None, ReplayConfig(n_tar=2), 1),
-        ]
-        assert len({base, *variants}) == len(variants) + 1
-
-    def test_key_is_stable(self):
-        import numpy as np
-
-        from repro.cloud import SpotTrace
-        from repro.experiments import ReplayCache
-
-        zones = ["aws:r:a"]
-        a = SpotTrace("t", zones, 60.0, np.full((1, 10), 3))
-        b = SpotTrace("t", zones, 60.0, np.full((1, 10), 3))
-        assert (
-            ReplayCache.key(a, "SpotHedge", None, ReplayConfig(n_tar=2), 5)
-            == ReplayCache.key(b, "SpotHedge", None, ReplayConfig(n_tar=2), 5)
-        )
-
-    def test_corrupt_entry_is_a_miss(self, cache, sample_replay):
-        from repro.experiments import ReplayCache
-
-        key = ReplayCache.key(aws1(), "SpotHedge", None, ReplayConfig(n_tar=2), 0)
-        cache.put(key, sample_replay)
-        cache.path_for(key).write_text("{not json")
-        assert cache.get(key) is None
-
-    def test_clear_removes_all_entries(self, cache, sample_replay):
-        from repro.experiments import ReplayCache
-
-        for seed in range(3):
-            key = ReplayCache.key(
-                aws1(), "SpotHedge", None, ReplayConfig(n_tar=2), seed
-            )
-            cache.put(key, sample_replay)
-        assert len(cache) == 3
-        assert cache.clear() == 3
-        assert len(cache) == 0
-
-    def test_empty_cache_clear_and_len(self, tmp_path):
-        from repro.experiments import ReplayCache
-
-        cache = ReplayCache(tmp_path / "never-created")
-        assert len(cache) == 0
-        assert cache.clear() == 0
-
-
 class TestEffectiveCapacityFields:
     """Round-tripping the heterogeneous (capacity-weighted) fields."""
 
-    def _weighted_replay(self):
+    def test_eff_fields_round_trip(self):
         import numpy as np
-
-        from repro.experiments import replay_result_from_dict
 
         trace = aws1()
         config = ReplayConfig(
@@ -229,43 +109,15 @@ class TestEffectiveCapacityFields:
         )
         result = TraceReplayer(trace, config).run(spothedge(trace.zone_ids))
         assert result.eff_availability is not None
-        return np, replay_result_from_dict, result
-
-    def test_eff_fields_round_trip(self):
-        np, from_dict, result = self._weighted_replay()
-        data = replay_result_to_dict(result, include_series=True)
+        data = json.loads(
+            json.dumps(replay_result_to_dict(result, include_series=True))
+        )
         assert data["eff_availability"] == result.eff_availability
-        restored = from_dict(json.loads(json.dumps(data)))
-        assert restored.eff_availability == result.eff_availability
         np.testing.assert_array_equal(
-            restored.eff_ready_series, result.eff_ready_series
+            data["eff_ready_series"], result.eff_ready_series
         )
 
     def test_eff_fields_omitted_when_untracked(self, sample_replay):
         data = replay_result_to_dict(sample_replay, include_series=True)
         assert "eff_availability" not in data
         assert "eff_ready_series" not in data
-
-    def test_cache_key_sensitive_to_capacity_weights(self):
-        from repro.experiments import ReplayCache
-
-        trace = aws1()
-        base = ReplayCache.key(trace, "SpotHedge", None, ReplayConfig(n_tar=2), 0)
-        weighted = ReplayCache.key(
-            trace,
-            "SpotHedge",
-            None,
-            ReplayConfig(n_tar=2, zone_capacity_weights={trace.zone_ids[0]: 2.0}),
-            0,
-        )
-        assert base != weighted
-
-    def test_cache_key_ignores_weight_dict_order(self):
-        from repro.experiments import ReplayCache
-
-        trace = aws1()
-        z = list(trace.zone_ids[:2])
-        forward = ReplayConfig(n_tar=2, zone_capacity_weights={z[0]: 2.0, z[1]: 3.0})
-        reverse = ReplayConfig(n_tar=2, zone_capacity_weights={z[1]: 3.0, z[0]: 2.0})
-        assert ReplayCache.key(trace, "SpotHedge", None, forward, 0) == \
-            ReplayCache.key(trace, "SpotHedge", None, reverse, 0)

@@ -148,14 +148,13 @@ def _tiny_trace():
     [
         (lambda: main(["replay", "--trace", "aws1", "--policies", "SpotHedge,Nope"]),
          SystemExit),
-        (lambda: main(["sweep", "--trace", "aws1", "--policies", "Nope", "--no-cache"]),
+        (lambda: main(["sweep", "--trace", "aws1", "--policies", "Nope"]),
          SystemExit),
         (lambda: main(["report", "--replay", "--policy", "Nope"]), SystemExit),
-        (lambda: main(["chaos", "run", "--trace", "aws1", "--policies", "Nope",
-                       "--no-cache"]),
+        (lambda: main(["chaos", "run", "--trace", "aws1", "--policies", "Nope"]),
          SystemExit),
         (lambda: run_matrix(_tiny_trace(), [builtin_scenario("preemption-storm")],
-                            ["Nope"], use_cache=False),
+                            ["Nope"]),
          ValueError),
         (lambda: TenantSpec(service=ServiceSpec(name="t"), policy="Nope"), ValueError),
     ],

@@ -1,12 +1,15 @@
-"""Unit tests for event sinks and JSONL round-trips."""
+"""Unit tests for event sinks, JSONL round-trips and the Prometheus
+snapshot."""
 
 import io
 
 import pytest
 
 from repro.telemetry import (
+    CostSnapshot,
     JsonlSink,
-    PrometheusSnapshot,
+    MetricRegistry,
+    MetricsSink,
     ReplicaLaunch,
     ReplicaPreempted,
     ReplicaReady,
@@ -108,79 +111,69 @@ class TestJsonlSink:
         assert len(read_events(path)) == 1
 
 
+def _snapshot(*events):
+    sink = MetricsSink()
+    for event in events:
+        sink.accept(event)
+    return sink.registry.render_prometheus()
+
+
 class TestPrometheusSnapshot:
+    """The Prometheus text snapshot ``repro serve --metrics-out`` writes:
+    a :class:`MetricsSink`'s registry rendered by ``render_prometheus``."""
+
     def test_counts_by_kind_and_zone(self):
-        snap = PrometheusSnapshot()
-        snap.accept(_event(1))
-        snap.accept(_event(2))
-        snap.accept(ReplicaReady(time=3.0, replica_id=3, zone="aws:z:b", spot=True))
-        assert snap.counts() == {
-            ("replica.ready", "aws:z:a"): 2,
-            ("replica.ready", "aws:z:b"): 1,
-        }
-        assert snap.last_event_time == 3.0
+        text = _snapshot(
+            _event(1),
+            ReplicaLaunch(time=2.0, replica_id=2, zone="aws:z:a", spot=True),
+            ReplicaLaunch(time=3.0, replica_id=3, zone="aws:z:a", spot=True),
+            ReplicaLaunch(time=4.0, replica_id=4, zone="aws:z:b", spot=True),
+        )
+        assert 'events_total{kind="replica.launch"} 3.0' in text
+        assert 'events_total{kind="replica.ready"} 1.0' in text
+        assert 'replica_launches_total{zone="aws:z:a"} 2.0' in text
+        assert 'replica_launches_total{zone="aws:z:b"} 1.0' in text
 
     def test_render_text_format(self):
-        snap = PrometheusSnapshot()
-        snap.accept(_event(1))
-        text = snap.render()
-        assert "# TYPE repro_events_total counter" in text
-        assert 'repro_events_total{kind="replica.ready",zone="aws:z:a"} 1' in text
+        text = _snapshot(_event(1))
+        assert "# TYPE events_total counter" in text
+        assert 'events_total{kind="replica.ready"} 1.0' in text
         assert text.endswith("\n")
 
     def test_gauges_sampled_at_render_time(self):
-        snap = PrometheusSnapshot()
-        cost = {"value": 1.0}
-        snap.register_gauge(
-            "repro_cost_dollars",
-            lambda: cost["value"],
-            labels={"market": "spot"},
-            help_text="Accrued cost.",
-        )
-        cost["value"] = 2.5  # mutated after registration, before render
-        text = snap.render()
-        assert "# TYPE repro_cost_dollars gauge" in text
-        assert 'repro_cost_dollars{market="spot"} 2.5' in text
+        sink = MetricsSink()
+        sink.accept(CostSnapshot(time=1.0, spot=1.0, on_demand=0.0, total=1.0))
+        sink.accept(CostSnapshot(time=2.0, spot=2.5, on_demand=0.0, total=2.5))
+        text = sink.registry.render_prometheus()
+        assert "# TYPE cost_accrued_dollars gauge" in text
+        assert 'cost_accrued_dollars{market="spot"} 2.5' in text
 
     def test_label_escaping(self):
-        snap = PrometheusSnapshot()
-        snap.accept(ReplicaReady(time=0.0, replica_id=1, zone='z"1', spot=True))
-        assert 'zone="z\\"1"' in snap.render()
+        text = _snapshot(ReplicaLaunch(time=0.0, replica_id=1, zone='z"1', spot=True))
+        assert 'zone="z\\"1"' in text
 
     def test_label_escaping_backslash_and_newline(self):
         # Exposition format: \ -> \\, " -> \", newline -> \n, in that
         # escape order (a backslash introduced by the quote escape must
         # not be doubled).
-        snap = PrometheusSnapshot()
-        snap.accept(
-            ReplicaReady(time=0.0, replica_id=1, zone='a\\b"c\nd', spot=True)
+        text = _snapshot(
+            ReplicaLaunch(time=0.0, replica_id=1, zone='a\\b"c\nd', spot=True)
         )
-        assert 'zone="a\\\\b\\"c\\nd"' in snap.render()
+        assert 'zone="a\\\\b\\"c\\nd"' in text
 
     def test_gauge_label_values_escaped(self):
-        snap = PrometheusSnapshot()
-        snap.register_gauge(
-            "repro_cost_dollars",
-            lambda: 1.0,
-            labels={"zone": 'z"1\n'},
-        )
-        assert 'zone="z\\"1\\n"' in snap.render()
+        reg = MetricRegistry()
+        reg.gauge("cost_dollars", "Accrued cost.", ("zone",)).labels('z"1\n').set(0.0, 1.0)
+        assert 'cost_dollars{zone="z\\"1\\n"} 1.0' in reg.render_prometheus()
 
     def test_help_text_escaped(self):
         # HELP lines escape backslash and newline (quotes are legal).
-        snap = PrometheusSnapshot()
-        snap.register_gauge(
-            "repro_cost_dollars",
-            lambda: 1.0,
-            help_text='Accrued "cost"\nwith a \\ backslash.',
-        )
-        text = snap.render()
-        assert (
-            '# HELP repro_cost_dollars Accrued "cost"\\nwith a \\\\ backslash.'
-            in text
-        )
+        reg = MetricRegistry()
+        reg.counter("cost_total", 'Accrued "cost"\nwith a \\ backslash.').labels().inc()
+        text = reg.render_prometheus()
+        assert '# HELP cost_total Accrued "cost"\\nwith a \\\\ backslash.' in text
         # The exposition stays one-metric-per-line despite the newline.
         assert all(
-            line.startswith(("#", "repro_"))
+            line.startswith(("#", "cost_total"))
             for line in text.strip().split("\n")
         )

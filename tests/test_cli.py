@@ -183,8 +183,8 @@ class TestEventsCommand:
             "--metrics-out", str(metrics),
         ]) == 0
         text = metrics.read_text()
-        assert "# TYPE repro_events_total counter" in text
-        assert "repro_events_total{" in text
+        assert "# TYPE events_total counter" in text
+        assert "events_total{" in text
 
     def test_log_level_flag_accepted(self, capsys):
         assert main([
@@ -248,55 +248,23 @@ class TestReportCommand:
 
 
 class TestSweepCommand:
-    def _env(self, monkeypatch, tmp_path):
-        from repro.experiments import ReplayCache
-
-        monkeypatch.setenv(ReplayCache.ENV_VAR, str(tmp_path / "cache"))
-
     def test_parser_defaults(self):
         args = build_parser().parse_args(["sweep"])
         assert args.trace == "gcp1"
         assert args.workers == 1
         assert args.policies == "SpotHedge"
-        assert not args.no_cache
 
     def test_workers_default_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
         args = build_parser().parse_args(["sweep"])
         assert args.workers == 4
 
-    def test_sweep_populates_and_reuses_cache(self, tmp_path, monkeypatch, capsys):
-        self._env(monkeypatch, tmp_path)
-        argv = ["sweep", "--trace", "aws1", "--n-tar", "2,3",
-                "--cold-start", "0,120"]
-        assert main(argv) == 0
-        first = capsys.readouterr().out
-        assert "4 points" in first
-        assert "4 new, 0 reused" in first
-        assert main(argv) == 0
-        second = capsys.readouterr().out
-        assert "0 new, 4 reused" in second
+    def test_no_cache_skips_cache(self, capsys):
+        assert main(["sweep", "--trace", "aws1", "--n-tar", "2"]) == 0
+        assert "cache" not in capsys.readouterr().out
 
-    def test_no_cache_skips_cache(self, tmp_path, monkeypatch, capsys):
-        self._env(monkeypatch, tmp_path)
-        assert main(["sweep", "--trace", "aws1", "--n-tar", "2",
-                     "--no-cache"]) == 0
-        out = capsys.readouterr().out
-        assert "cache" not in out
-        assert not (tmp_path / "cache").exists()
-
-    def test_clear_cache(self, tmp_path, monkeypatch, capsys):
-        self._env(monkeypatch, tmp_path)
-        main(["sweep", "--trace", "aws1", "--n-tar", "2,3"])
-        capsys.readouterr()
-        assert main(["sweep", "--clear-cache"]) == 0
-        assert "cleared 2 cached" in capsys.readouterr().out
-
-    def test_parallel_sweep_matches_serial_output(
-        self, tmp_path, monkeypatch, capsys
-    ):
-        self._env(monkeypatch, tmp_path)
-        argv = ["sweep", "--trace", "aws1", "--n-tar", "2,3", "--no-cache"]
+    def test_parallel_sweep_matches_serial_output(self, capsys):
+        argv = ["sweep", "--trace", "aws1", "--n-tar", "2,3"]
         assert main(argv) == 0
         serial = capsys.readouterr().out
         assert main(argv + ["--workers", "2"]) == 0
@@ -304,8 +272,7 @@ class TestSweepCommand:
         # Identical except for the reported worker count.
         assert serial.replace("workers=1", "") == parallel.replace("workers=2", "")
 
-    def test_progress_written_to_stderr(self, tmp_path, monkeypatch, capsys):
-        self._env(monkeypatch, tmp_path)
+    def test_progress_written_to_stderr(self, capsys):
         assert main(["sweep", "--trace", "aws1", "--n-tar", "2,3",
                      "--progress"]) == 0
         err = capsys.readouterr().err
@@ -313,8 +280,7 @@ class TestSweepCommand:
         assert "[2/2]" in err
         assert "ok" in err
 
-    def test_json_export(self, tmp_path, monkeypatch, capsys):
-        self._env(monkeypatch, tmp_path)
+    def test_json_export(self, tmp_path, capsys):
         out_path = tmp_path / "sweep.json"
         assert main(["sweep", "--trace", "aws1", "--n-tar", "2,3",
                      "--json", str(out_path)]) == 0
@@ -326,12 +292,30 @@ class TestSweepCommand:
         }
         assert data["metadata"]["trace"] == "AWS 1"
 
-    def test_unknown_policy_rejected(self, tmp_path, monkeypatch):
-        self._env(monkeypatch, tmp_path)
+    def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--policies", "Nope"])
 
-    def test_bad_axis_value_rejected(self, tmp_path, monkeypatch):
-        self._env(monkeypatch, tmp_path)
+    def test_bad_axis_value_rejected(self):
         with pytest.raises(SystemExit):
             main(["sweep", "--n-tar", "two"])
+
+
+class TestReplaysWriteNothing:
+    def test_replay_front_ends_leave_home_untouched(self, tmp_path, monkeypatch, capsys):
+        """Sweeps, chaos matrices and the hetero frontier recompute every
+        replay: none of them writes a result cache under $HOME or
+        $REPRO_CACHE_DIR (or anywhere in the working directory)."""
+        home = tmp_path / "home"
+        home.mkdir()
+        monkeypatch.setenv("HOME", str(home))
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(home / "cache"))
+        monkeypatch.chdir(tmp_path)
+        assert main(["sweep", "--trace", "aws1", "--n-tar", "2"]) == 0
+        assert main(["chaos", "run", "--trace", "aws1",
+                     "--policies", "SpotHedge"]) == 0
+        assert main(["hetero", "frontier", "--duration", "1",
+                     "--fleets", "A10G"]) == 0
+        capsys.readouterr()
+        assert list(home.rglob("*")) == []
+        assert [p.name for p in tmp_path.iterdir()] == ["home"]
