@@ -11,6 +11,7 @@ timings to ``benchmarks/BENCH_replay.json`` (gitignored) so runs can be
 compared against a recorded baseline.
 """
 
+import functools
 import json
 import os
 import time
@@ -80,23 +81,21 @@ def realistic_trace() -> SpotTrace:
 
 
 def test_engine_event_throughput(benchmark):
-    """Raw event loop: schedule + dispatch 100k events."""
+    """Raw event loop: schedule + dispatch 100k events, 100 per
+    timestamp; they must fire in time order and, within a timestamp, in
+    scheduling order."""
 
     def run():
         engine = SimulationEngine()
-        count = 0
-
-        def tick():
-            nonlocal count
-            count += 1
-
+        fired: list[int] = []
         for i in range(100_000):
-            engine.call_at(float(i % 1000), tick)
+            engine.call_at(float(i % 1000), functools.partial(fired.append, i))
         engine.run()
-        return count
+        return fired
 
-    count = benchmark(run)
-    assert count == 100_000
+    fired = benchmark(run)
+    assert len(fired) == 100_000
+    assert fired == sorted(range(100_000), key=lambda i: (i % 1000, i))
 
 
 def test_recurring_timer_throughput(benchmark):

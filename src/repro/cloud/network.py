@@ -45,6 +45,8 @@ class NetworkModel:
             if rtt < 0:
                 raise ValueError(f"negative RTT for {(a, b)}")
             self._overrides[self._key(a, b)] = rtt
+        #: Answers of ``rtt`` by argument pair (the matrix never changes).
+        self._memo: dict[tuple[str, str], float] = {}
 
     @staticmethod
     def _key(region_a: str, region_b: str) -> tuple[str, str]:
@@ -60,6 +62,12 @@ class NetworkModel:
 
         Accepts either bare region names or ``cloud:region`` ids.
         """
+        rtt = self._memo.get((region_a, region_b))
+        if rtt is None:
+            rtt = self._memo[(region_a, region_b)] = self._lookup(region_a, region_b)
+        return rtt
+
+    def _lookup(self, region_a: str, region_b: str) -> float:
         a = self._bare_region(region_a)
         b = self._bare_region(region_b)
         override = self._overrides.get(self._key(a, b))

@@ -26,13 +26,16 @@ reproducing the §5.1 client behaviour:
 from __future__ import annotations
 
 import logging
+from collections import deque
 from dataclasses import dataclass
-from typing import Optional
+from functools import partial
+from typing import Iterator, Optional
 
 import numpy as np
 
 from repro.serving.controller import ServiceController
 from repro.serving.replica import Replica
+from repro.sim.engine import EventHandle, SimulationError
 from repro.sim.metrics import Counter, LatencyRecorder, LatencySummary
 from repro.telemetry.spans import SpanRecorder
 from repro.workloads.request import Request, Workload
@@ -102,7 +105,17 @@ class ClientStats:
 
 
 class ServiceClient:
-    """Replays a workload through a service controller."""
+    """Replays a workload through a service controller.
+
+    Arrivals are fed to the engine lazily: :meth:`start` schedules the
+    first one, and each arrival schedules the next before it is
+    handled, so at most one arrival of the workload is pending at any
+    time.  Deadlines use one engine event per client: the timeout is
+    fixed and arrivals are sorted, so deadlines are monotone, and a
+    single timer at the oldest open request's deadline fails every
+    request whose ``arrival + timeout`` has passed (at exactly that
+    time), skips requests that already ended, and re-arms itself.
+    """
 
     def __init__(
         self,
@@ -138,36 +151,75 @@ class ServiceClient:
         #: Backoff count per request id (capacity retries only).
         self._backoffs: dict[int, int] = {}
         self._scheduled = False
+        #: Arrivals not yet scheduled; each arrival schedules the next.
+        self._feed: Iterator[Request] = iter(workload)
+        #: Arrived requests in arrival order, trimmed lazily by the
+        #: deadline timer once they end.
+        self._open: deque[Request] = deque()
+        #: The one pending deadline event, at the oldest open request's
+        #: deadline (None while no request is open).
+        self._expiry: Optional[EventHandle] = None
 
     def start(self) -> None:
-        """Schedule every workload arrival.  Call once before running."""
+        """Schedule the first workload arrival.  Call once before running.
+
+        Raises :class:`~repro.sim.engine.SimulationError` when the first
+        arrival is already in the past: arrivals are sorted, so that
+        check covers the whole workload before anything runs.
+        """
         if self._scheduled:
             raise RuntimeError("client already started")
         self._scheduled = True
-        for request in self.workload:
-            self.engine.call_at(
-                request.arrival_time, lambda r=request: self._arrive(r)
+        first = next(self._feed, None)
+        if first is None:
+            return
+        if first.arrival_time < self.engine.now:
+            raise SimulationError(
+                f"workload {self.workload.name!r} starts at "
+                f"t={first.arrival_time:.3f}, before now t={self.engine.now:.3f}"
             )
+        self.engine.call_at(first.arrival_time, partial(self._arrive, first))
 
     # ------------------------------------------------------------------
     # Per-request state machine
     # ------------------------------------------------------------------
     def _arrive(self, request: Request) -> None:
+        upcoming = next(self._feed, None)
+        if upcoming is not None:
+            self.engine.call_at(upcoming.arrival_time, partial(self._arrive, upcoming))
         deadline = request.arrival_time + self.timeout
         self.spans.open(request.request_id, request.arrival_time)
-        self.engine.call_at(deadline, lambda: self._deadline(request))
+        self._open.append(request)
+        if self._expiry is None:
+            self._expiry = self.engine.call_at(deadline, self._expire)
         self._attempt(request, deadline)
 
-    def _deadline(self, request: Request) -> None:
-        if request.request_id in self._completed:
-            return
-        self._failed.add(request.request_id)
+    def _expire(self) -> None:
+        """The deadline timer: fail every open request whose deadline
+        has passed, in arrival order, then re-arm for the oldest request
+        still open.  Requests that already ended are dropped."""
+        self._expiry = None
+        now = self.engine.now
+        open_requests = self._open
+        while open_requests:
+            request = open_requests[0]
+            request_id = request.request_id
+            if request_id in self._completed or request_id in self._failed:
+                open_requests.popleft()
+                continue
+            deadline = request.arrival_time + self.timeout
+            if deadline > now:
+                self._expiry = self.engine.call_at(deadline, self._expire)
+                return
+            open_requests.popleft()
+            self._fail(request_id)
+            logger.debug("t=%.1f request %d timed out", now, request_id)
+
+    def _fail(self, request_id: int) -> None:
+        self._failed.add(request_id)
         self.failures.add()
-        self._backoffs.pop(request.request_id, None)
-        self.spans.fail(request.request_id, self.engine.now)
-        logger.debug(
-            "t=%.1f request %d timed out", self.engine.now, request.request_id
-        )
+        self._backoffs.pop(request_id, None)
+        self.spans.fail(request_id, self.engine.now)
 
     def _retry_later(self, request: Request, deadline: float) -> None:
         """Schedule the next attempt after a capacity signal (no ready
@@ -234,9 +286,7 @@ class ServiceClient:
         if request.request_id in self._failed or latency > self.timeout:
             # Completed after its deadline: already (or now) a failure.
             if request.request_id not in self._failed:
-                self._failed.add(request.request_id)
-                self.failures.add()
-                self.spans.fail(request.request_id, self.engine.now)
+                self._fail(request.request_id)
             return
         self._completed.add(request.request_id)
         self._backoffs.pop(request.request_id, None)

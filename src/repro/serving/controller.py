@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from repro.serving.load_balancer import LoadBalancer, make_balancer
 from repro.serving.policy import MixTarget, Observation, ServingPolicy
 from repro.serving.replica import Replica, ReplicaState
 from repro.serving.spec import ServiceSpec
-from repro.sim.engine import SimulationEngine
+from repro.sim.engine import EventHandle, SimulationEngine
 from repro.sim.metrics import Counter, TimeSeries
 from repro.telemetry.events import (
     AutoscaleDecision,
@@ -59,6 +59,43 @@ logger = logging.getLogger(__name__)
 # alive spot replicas.  Fig. 12 observes ~14 provisioning replicas for a
 # target of 4, i.e. a factor of ~3.5.
 _MAX_OVERREQUEST_FACTOR = 4
+
+
+class _ReplicaIndex:
+    """The replica views the controller reads on every request and every
+    tick, each in launch order (the order of
+    :attr:`ServiceController.replicas`).
+
+    * ``ready``: ready and not draining — what the balancer picks from;
+    * ``routable[spot]``: the same, split by market (doomed replicas
+      included: they serve until the cloud reclaims them);
+    * ``alive[spot]``: not dead, not draining and not doomed — what
+      counts toward the policy's targets.
+
+    Built in one pass over the replica list.  The controller drops it on
+    every lifecycle change (launch, ready, migration, drain, doom,
+    death, removal) and the next read rebuilds it, so routing a request
+    filters nothing: lifecycle changes are rare next to requests.
+    """
+
+    __slots__ = ("ready", "routable", "alive")
+
+    def __init__(self, replicas: Sequence[Replica]) -> None:
+        ready: list[Replica] = []
+        routable: dict[bool, list[Replica]] = {True: [], False: []}
+        alive: dict[bool, list[Replica]] = {True: [], False: []}
+        for replica in replicas:
+            if replica.draining:
+                continue
+            state = replica.state
+            if state is ReplicaState.READY:
+                ready.append(replica)
+                routable[replica.spot].append(replica)
+            if state is not ReplicaState.DEAD and not replica.doomed:
+                alive[replica.spot].append(replica)
+        self.ready = tuple(ready)
+        self.routable = {spot: tuple(rs) for spot, rs in routable.items()}
+        self.alive = {spot: tuple(rs) for spot, rs in alive.items()}
 
 
 class ServiceController:
@@ -97,7 +134,10 @@ class ServiceController:
         self.autoscaler = Autoscaler(
             spec.replica_policy, initial_target=spec.replica_policy.min_replicas
         )
+        #: Every replica not yet torn down, in launch order.  Only the
+        #: controller adds or removes entries (it keeps an index of them).
         self.replicas: list[Replica] = []
+        self._index: Optional[_ReplicaIndex] = None
         self._replica_ids = itertools.count(1)
         self._instance_replica: dict[int, Replica] = {}
         self._adaptive_parallelism = adaptive_parallelism
@@ -147,6 +187,8 @@ class ServiceController:
         self.probe_failure_count = Counter("probe_failures")
         self._probe_ids = -1  # probe requests use negative ids
         self._started = False
+        self._stopped = False
+        self._timers: list[EventHandle] = []
 
     # ------------------------------------------------------------------
     # Setup helpers
@@ -230,45 +272,42 @@ class ServiceController:
         """Halt the reconciliation and probe loops (service teardown).
         Safe to call before start() or repeatedly."""
         self._stopped = True
-        for timer in getattr(self, "_timers", []):
+        for timer in self._timers:
             timer.cancel()
 
     # ------------------------------------------------------------------
     # Observation and request routing
     # ------------------------------------------------------------------
-    def _alive_replicas(self, spot: bool) -> list[Replica]:
+    def _replica_index(self) -> _ReplicaIndex:
+        index = self._index
+        if index is None:
+            index = self._index = _ReplicaIndex(self.replicas)
+        return index
+
+    def _reindex(self) -> None:
+        """Drop the replica index after a lifecycle change."""
+        self._index = None
+
+    def _alive_replicas(self, spot: bool) -> tuple[Replica, ...]:
         """Replicas that count toward the policy's targets: alive, not
         being scaled down, and not doomed by a preemption warning (a
         doomed replica still serves, but its replacement must launch
         now)."""
-        return [
-            r
-            for r in self.replicas
-            if r.spot == spot
-            and r.state is not ReplicaState.DEAD
-            and not r.draining
-            and not r.doomed
-        ]
+        return self._replica_index().alive[spot]
 
-    def _routable_replicas(self, spot: bool) -> list[Replica]:
+    def _routable_replicas(self, spot: bool) -> tuple[Replica, ...]:
         """Replicas the balancer may still send traffic to — includes
         doomed-but-alive ones riding out their warning grace."""
-        return [
-            r
-            for r in self.replicas
-            if r.spot == spot and r.is_ready and not r.draining
-        ]
+        return self._replica_index().routable[spot]
 
     def ready_replicas(self) -> list[Replica]:
-        return [
-            r
-            for r in self.replicas
-            if r.is_ready and not r.draining
-        ]
+        """Ready, not-draining replicas in launch order."""
+        return list(self._replica_index().ready)
 
     def observe(self) -> Observation:
-        spot_alive = self._alive_replicas(spot=True)
-        od_alive = self._alive_replicas(spot=False)
+        index = self._replica_index()
+        spot_alive = index.alive[True]
+        od_alive = index.alive[False]
         by_zone: dict[str, int] = {}
         for replica in spot_alive:
             by_zone[replica.zone_id] = by_zone.get(replica.zone_id, 0) + 1
@@ -285,7 +324,7 @@ class ServiceController:
     def route(self, request: Request) -> Optional[Replica]:
         """Route one request; feeds the autoscaler's QPS window."""
         self.autoscaler.record_request(self.engine.now)
-        replica = self.balancer.pick(self.ready_replicas(), request)
+        replica = self.balancer.pick(self._replica_index().ready, request)
         bus = self.engine.telemetry
         if bus.enabled and replica is not None:
             bus.emit(
@@ -341,7 +380,7 @@ class ServiceController:
     # Reconciliation
     # ------------------------------------------------------------------
     def _tick(self) -> None:
-        if getattr(self, "_stopped", False):
+        if self._stopped:
             return
         old_target = self.autoscaler.n_tar
         self.autoscaler.evaluate(self.engine.now)
@@ -451,7 +490,7 @@ class ServiceController:
                 self._retire(victim)
 
     @staticmethod
-    def _scale_down_victims(alive: list[Replica], surplus: int) -> list[Replica]:
+    def _scale_down_victims(alive: Sequence[Replica], surplus: int) -> list[Replica]:
         """Pick replicas to remove: cancel still-launching ones first
         (cheapest to stop), then the youngest ready ones."""
         launching = [r for r in alive if not r.is_ready]
@@ -478,6 +517,7 @@ class ServiceController:
         replica.kill()
         if replica in self.replicas:
             self.replicas.remove(replica)
+            self._reindex()
         logger.debug(
             "t=%.1f replica %d terminated (%s)", self.engine.now, replica.id, reason
         )
@@ -512,7 +552,9 @@ class ServiceController:
             max_queue=self.spec.max_queue_per_replica,
             capacity_weight=self._zone_weight.get(zone_id, 1.0),
         )
+        replica.on_change = self._reindex
         self.replicas.append(replica)
+        self._reindex()
         itype = self._zone_itype[zone_id]
         callbacks = InstanceCallbacks(
             on_ready=self._on_instance_ready,
@@ -583,6 +625,7 @@ class ServiceController:
             return False
         if replica in self.replicas:
             self.replicas.remove(replica)
+            self._reindex()
         for worker in list(replica.workers):
             self.cloud.terminate(worker)
             self._instance_replica.pop(worker.id, None)
@@ -683,7 +726,7 @@ class ServiceController:
     # Readiness probing (SS4)
     # ------------------------------------------------------------------
     def _probe_all(self) -> None:
-        for replica in list(self.ready_replicas()):
+        for replica in self._replica_index().ready:
             self._probe(replica)
 
     def _probe(self, replica: Replica) -> None:

@@ -39,6 +39,7 @@ Vicuna-13B (the Fig. 6a breakdown).
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -281,7 +282,7 @@ class InferenceServer:
         self._rng = rng
         self._jitter = jitter
         self._max_queue = max_queue
-        self._queue: list[_Pending] = []
+        self._queue: deque[_Pending] = deque()
         self._in_flight: dict[int, _Pending] = {}
         self._aborted = False
         self._frozen = False
@@ -366,7 +367,7 @@ class InferenceServer:
         admitted = False
         while self._queue and len(self._in_flight) < self.profile.max_concurrency:
             admitted = True
-            pending = self._queue.pop(0)
+            pending = self._queue.popleft()
             request = pending.request
             self._in_flight[request.request_id] = pending
             if pending.span is not None:

@@ -30,6 +30,22 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def _least_loaded(replicas: Sequence[Replica]) -> Optional[Replica]:
+    """The replica with the least capacity-normalised ongoing load, ties
+    broken by the smaller id (``None`` for an empty sequence)."""
+    best: Optional[Replica] = None
+    best_load = 0.0
+    for replica in replicas:
+        load = replica.ongoing_requests / replica.capacity_weight
+        if (
+            best is None
+            or load < best_load
+            or (load == best_load and replica.id < best.id)
+        ):
+            best, best_load = replica, load
+    return best
+
+
 class LoadBalancer(abc.ABC):
     """Chooses a ready replica for each incoming request."""
 
@@ -89,12 +105,7 @@ class LeastLoadBalancer(LoadBalancer):
     name = "least_load"
 
     def pick(self, replicas: Sequence[Replica], request: Request) -> Optional[Replica]:
-        if not replicas:
-            return None
-        return min(
-            replicas,
-            key=lambda r: (r.ongoing_requests / r.capacity_weight, r.id),
-        )
+        return _least_loaded(replicas)
 
 
 class LocalityAwareBalancer(LoadBalancer):
@@ -170,10 +181,7 @@ class LocalityAwareBalancer(LoadBalancer):
         )
         self.fallbacks_total += 1
         self.last_pick_fallback = True
-        return min(
-            replicas,
-            key=lambda r: (r.ongoing_requests / r.capacity_weight, r.id),
-        )
+        return _least_loaded(replicas)
 
 
 def make_balancer(

@@ -42,6 +42,11 @@ class ReplicaState(enum.Enum):
     DEAD = "dead"
 
 
+#: States in which a replica accepts requests (a migrating replica
+#: queues them behind the re-parallelisation pause).
+_SERVING_STATES = (ReplicaState.READY, ReplicaState.MIGRATING)
+
+
 class Replica:
     """One model endpoint over ``workers`` cloud instances."""
 
@@ -77,34 +82,64 @@ class Replica:
         self.capacity_weight = capacity_weight
         self.adaptive_parallelism = adaptive_parallelism
         self.migration_pause = migration_pause
+        #: The replica's ``cloud:region`` id.  Zone ids normally follow
+        #: ``cloud:region:zone``; synthetic traces use free-form ids
+        #: ("z1"), for which the zone id doubles as the region id.
+        parts = zone_id.rsplit(":", 1)
+        self.region_id = parts[0] if len(parts) == 2 else zone_id
         self.workers: list[Instance] = []
         self._initial_workers = 0
         self.server = InferenceServer(engine, profile, rng=rng, max_queue=max_queue)
-        self.state = ReplicaState.PROVISIONING
+        #: Called with no arguments after every change of ``state``,
+        #: ``draining`` or ``doomed`` — whoever makes it, including the
+        #: engine callback that ends a migration.  The controller uses it
+        #: to keep its replica index current.
+        self.on_change: Optional[Callable[[], None]] = None
+        self._state = ReplicaState.PROVISIONING
+        self._draining = False
+        self._doomed = False
         self.ready_at: Optional[float] = None
         self.died_at: Optional[float] = None
-        #: Set by the controller when the replica is being scaled down:
-        #: it finishes ongoing requests but receives no new traffic.
-        self.draining = False
-        #: Set when a preemption warning arrived: the replica keeps
-        #: serving until the cloud reclaims it, but the controller
-        #: launches its replacement immediately.
-        self.doomed = False
 
     @property
-    def region_id(self) -> str:
-        """The replica's ``cloud:region`` id.
+    def state(self) -> ReplicaState:
+        return self._state
 
-        Zone ids normally follow ``cloud:region:zone``; synthetic traces
-        use free-form ids ("z1"), for which the zone id doubles as the
-        region id instead of raising.
-        """
-        parts = self.zone_id.rsplit(":", 1)
-        return parts[0] if len(parts) == 2 else self.zone_id
+    @state.setter
+    def state(self, state: ReplicaState) -> None:
+        self._state = state
+        self._changed()
+
+    @property
+    def draining(self) -> bool:
+        """Set by the controller when the replica is being scaled down:
+        it finishes ongoing requests but receives no new traffic."""
+        return self._draining
+
+    @draining.setter
+    def draining(self, draining: bool) -> None:
+        self._draining = draining
+        self._changed()
+
+    @property
+    def doomed(self) -> bool:
+        """Set when a preemption warning arrived: the replica keeps
+        serving until the cloud reclaims it, but the controller launches
+        its replacement immediately."""
+        return self._doomed
+
+    @doomed.setter
+    def doomed(self, doomed: bool) -> None:
+        self._doomed = doomed
+        self._changed()
+
+    def _changed(self) -> None:
+        if self.on_change is not None:
+            self.on_change()
 
     @property
     def is_ready(self) -> bool:
-        return self.state is ReplicaState.READY
+        return self._state is ReplicaState.READY
 
     @property
     def ongoing_requests(self) -> int:
@@ -209,7 +244,7 @@ class Replica:
         accepted (``on_abort`` fired).  ``urgent`` bypasses the queue
         bound — readiness probes must reach an overloaded replica.
         """
-        if self.state not in (ReplicaState.READY, ReplicaState.MIGRATING):
+        if self._state not in _SERVING_STATES:
             on_abort(request)
             return True
         accepted = self.server.submit(

@@ -16,13 +16,19 @@ Two scheduling styles are supported:
 
 Events scheduled for the same timestamp fire in scheduling order (FIFO),
 which keeps control-loop interleavings deterministic.
+
+The queue is a binary heap of ``(time, seq, event)`` tuples.  ``seq`` is
+a per-engine counter taken at scheduling time, unique, so tuple
+comparison settles on ``(time, seq)`` — which is the FIFO rule above —
+and never reaches the event object.  The event object is itself the
+:class:`EventHandle` returned to the caller, so one scheduled callback
+costs one small allocation plus its tuple.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -35,59 +41,89 @@ class SimulationError(RuntimeError):
     """Raised on invalid engine usage (e.g. scheduling in the past)."""
 
 
-@dataclass(order=True)
-class _ScheduledEvent:
-    """Internal heap entry.
+class EventHandle:
+    """Handle to a scheduled event, allowing cancellation.
 
-    Ordered by ``(time, seq)`` so that simultaneous events preserve
-    scheduling order.  The callback itself is excluded from ordering.
-
-    The entry participates in the engine's live pending-event count:
-    cancellation decrements the counter exactly once (and only while the
-    entry is still queued), so :attr:`SimulationEngine.pending_events`
-    never has to walk the heap.
+    ``time`` is the simulated time at which the event fires (or would
+    have fired); ``cancelled`` says whether :meth:`cancel` was called.
+    Cancellation is lazy: the heap entry stays in the queue but is
+    skipped when popped.
     """
 
+    __slots__ = ()
+
     time: float
-    seq: int
-    callback: Callable[[], None] = field(compare=False)
-    cancelled: bool = field(default=False, compare=False)
-    #: Set once the entry has left the heap (fired or skipped).
-    popped: bool = field(default=False, compare=False)
-    engine: Optional[SimulationEngine] = field(
-        default=None, compare=False, repr=False
-    )
+    cancelled: bool
+
+    def cancel(self) -> None:
+        """Prevent the event from firing.  Idempotent."""
+        raise NotImplementedError
+
+
+class _ScheduledEvent(EventHandle):
+    """One scheduled callback: the heap tuple's payload and its handle.
+
+    The entry participates in the engine's live pending-event count:
+    cancellation decrements the counter exactly once, and only while
+    the entry is still queued (``engine`` is cleared when the entry
+    leaves the heap), so :attr:`SimulationEngine.pending_events` never
+    has to walk the heap.
+    """
+
+    __slots__ = ("time", "callback", "cancelled", "engine")
+
+    def __init__(
+        self, time: float, callback: Callable[[], None], engine: SimulationEngine
+    ) -> None:
+        self.time = time
+        self.callback = callback
+        self.cancelled = False
+        #: The owning engine while queued; None once popped.
+        self.engine: Optional[SimulationEngine] = engine
 
     def cancel(self) -> None:
         if not self.cancelled:
             self.cancelled = True
-            if not self.popped and self.engine is not None:
+            if self.engine is not None:
                 self.engine._pending -= 1
 
 
-class EventHandle:
-    """Handle to a scheduled event, allowing cancellation.
+class _RecurringHandle(EventHandle):
+    """A :meth:`SimulationEngine.call_every` timer.
 
-    Cancellation is lazy: the heap entry stays in the queue but is skipped
-    when popped.
+    Each tick re-schedules the next one through ``call_after``; the
+    handle follows the currently queued tick, so cancelling it stops the
+    whole timer, including from inside the callback.
     """
 
-    def __init__(self, event: _ScheduledEvent) -> None:
-        self._event = event
+    __slots__ = ("time", "cancelled", "_engine", "_interval", "_callback", "_event")
 
-    @property
-    def time(self) -> float:
-        """Simulated time at which the event fires (or would have fired)."""
-        return self._event.time
+    def __init__(
+        self,
+        engine: SimulationEngine,
+        interval: float,
+        callback: Callable[[], None],
+        first_delay: float,
+    ) -> None:
+        self.cancelled = False
+        self._engine = engine
+        self._interval = interval
+        self._callback = callback
+        self._arm(first_delay)
 
-    @property
-    def cancelled(self) -> bool:
-        """Whether :meth:`cancel` has been called."""
-        return self._event.cancelled
+    def _arm(self, delay: float) -> None:
+        self._event = self._engine.call_after(delay, self._fire)
+        self.time = self._event.time
+
+    def _fire(self) -> None:
+        self._callback()
+        if not self.cancelled:
+            self._arm(self._interval)
 
     def cancel(self) -> None:
-        """Prevent the event from firing.  Idempotent."""
-        self._event.cancel()
+        if not self.cancelled:
+            self.cancelled = True
+            self._event.cancel()
 
 
 class SimulationEngine:
@@ -100,9 +136,8 @@ class SimulationEngine:
         telemetry: Optional[EventBus] = None,
     ) -> None:
         self._now = float(start_time)
-        self._queue: list[_ScheduledEvent] = []
+        self._queue: list[tuple[float, int, _ScheduledEvent]] = []
         self._seq = itertools.count()
-        self._running = False
         self._events_processed = 0
         self._pending = 0
         if telemetry is None:
@@ -146,12 +181,11 @@ class SimulationEngine:
             raise SimulationError(
                 f"cannot schedule event at t={time:.3f}, now is t={self._now:.3f}"
             )
-        event = _ScheduledEvent(
-            time=float(time), seq=next(self._seq), callback=callback, engine=self
-        )
-        heapq.heappush(self._queue, event)
+        time = float(time)
+        event = _ScheduledEvent(time, callback, self)
+        heapq.heappush(self._queue, (time, next(self._seq), event))
         self._pending += 1
-        return EventHandle(event)
+        return event
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> EventHandle:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
@@ -174,34 +208,7 @@ class SimulationEngine:
         if interval <= 0:
             raise SimulationError(f"non-positive interval {interval!r}")
         first_delay = interval if start_delay is None else start_delay
-        # The recurring timer is implemented by re-scheduling from inside
-        # the tick.  A shared cell lets the caller's handle cancel the
-        # currently queued tick, whichever one that is.
-        cell: dict[str, _ScheduledEvent] = {}
-
-        def tick() -> None:
-            callback()
-            if not cell["event"].cancelled:
-                cell["event"] = self.call_after(interval, tick)._event
-
-        cell["event"] = self.call_after(first_delay, tick)._event
-
-        class _RecurringHandle(EventHandle):
-            def __init__(self) -> None:  # noqa: D401 - thin shim
-                pass
-
-            @property
-            def time(self) -> float:
-                return cell["event"].time
-
-            @property
-            def cancelled(self) -> bool:
-                return cell["event"].cancelled
-
-            def cancel(self) -> None:
-                cell["event"].cancel()
-
-        return _RecurringHandle()
+        return _RecurringHandle(self, interval, callback, first_delay)
 
     def step(self) -> bool:
         """Execute the next pending event.
@@ -209,13 +216,14 @@ class SimulationEngine:
         Returns ``False`` when the queue is empty.  Cancelled events are
         skipped without advancing the clock.
         """
-        while self._queue:
-            event = heapq.heappop(self._queue)
-            event.popped = True
+        queue = self._queue
+        while queue:
+            time, _, event = heapq.heappop(queue)
+            event.engine = None
             if event.cancelled:
                 continue  # counter already adjusted at cancel time
             self._pending -= 1
-            self._now = event.time
+            self._now = time
             self._events_processed += 1
             event.callback()
             return True
@@ -232,22 +240,17 @@ class SimulationEngine:
             raise SimulationError(
                 f"end_time {end_time:.3f} is before now {self._now:.3f}"
             )
-        self._running = True
-        try:
-            while self._queue:
-                event = self._queue[0]
-                if event.time > end_time:
-                    break
-                heapq.heappop(self._queue)
-                event.popped = True
-                if event.cancelled:
-                    continue  # counter already adjusted at cancel time
-                self._pending -= 1
-                self._now = event.time
-                self._events_processed += 1
-                event.callback()
-        finally:
-            self._running = False
+        queue = self._queue
+        heappop = heapq.heappop
+        while queue and queue[0][0] <= end_time:
+            time, _, event = heappop(queue)
+            event.engine = None
+            if event.cancelled:
+                continue  # counter already adjusted at cancel time
+            self._pending -= 1
+            self._now = time
+            self._events_processed += 1
+            event.callback()
         self._now = end_time
 
     def run(self) -> None:

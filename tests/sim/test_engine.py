@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import SimulationEngine, SimulationError
+from repro.sim import EventHandle, SimulationEngine, SimulationError
 
 
 class TestScheduling:
@@ -54,6 +54,31 @@ class TestScheduling:
             engine.call_at(1.0, lambda l=label: order.append(l))
         engine.run()
         assert order == list("abcde")
+
+    def test_same_time_fifo_from_inside_callbacks(self):
+        """Events scheduled for the current instant from inside a
+        callback fire after everything already queued for it, in the
+        order they were scheduled."""
+        engine = SimulationEngine()
+        order = []
+
+        def spawn(label):
+            order.append(label)
+            for child in "xyz":
+                engine.call_at(1.0, lambda c=label + child: order.append(c))
+
+        engine.call_at(1.0, lambda: spawn("a"))
+        engine.call_at(1.0, lambda: spawn("b"))
+        engine.call_at(1.0, lambda: order.append("c"))
+        engine.run()
+        assert order == ["a", "b", "c", "ax", "ay", "az", "bx", "by", "bz"]
+
+    def test_handle_is_the_scheduled_event(self):
+        engine = SimulationEngine()
+        handle = engine.call_at(4, lambda: None)
+        assert isinstance(handle, EventHandle)
+        assert handle.time == 4.0 and isinstance(handle.time, float)
+        assert not handle.cancelled
 
     def test_events_processed_counter(self):
         engine = SimulationEngine()
@@ -152,6 +177,31 @@ class TestRecurring:
         engine.run_until(100.0)
         assert ticks == [10.0, 20.0]
 
+    def test_handle_tracks_the_queued_tick(self):
+        engine = SimulationEngine()
+        handle = engine.call_every(10.0, lambda: None, start_delay=5.0)
+        assert isinstance(handle, EventHandle)
+        assert handle.time == 5.0
+        engine.run_until(6.0)
+        assert handle.time == 15.0
+        assert not handle.cancelled
+
+    def test_cancel_from_inside_the_callback(self):
+        engine = SimulationEngine()
+        ticks = []
+        handle = None
+
+        def tick():
+            ticks.append(engine.now)
+            if len(ticks) == 2:
+                handle.cancel()
+
+        handle = engine.call_every(10.0, tick)
+        engine.run_until(100.0)
+        assert ticks == [10.0, 20.0]
+        assert handle.cancelled
+        assert engine.pending_events == 0
+
     def test_non_positive_interval_rejected(self):
         engine = SimulationEngine()
         with pytest.raises(SimulationError):
@@ -219,6 +269,21 @@ class TestPendingCounter:
         handle.cancel()
         assert engine.pending_events == 0
 
+    def test_cancel_after_fire_leaves_other_events_counted(self):
+        engine = SimulationEngine()
+        fired = engine.call_at(1.0, lambda: None)
+        engine.call_at(2.0, lambda: None)
+        engine.call_at(3.0, lambda: None)
+        engine.step()
+        assert engine.pending_events == 2
+        fired.cancel()
+        fired.cancel()
+        assert fired.cancelled
+        assert engine.pending_events == 2
+        engine.run()
+        assert engine.pending_events == 0
+        assert engine.events_processed == 3
+
     def test_run_until_leaves_future_events_pending(self):
         engine = SimulationEngine()
         engine.call_at(1.0, lambda: None)
@@ -252,9 +317,9 @@ class TestPendingCounter:
         for handle in handles[::3]:
             handle.cancel()
         expected = sum(
-            1 for e in engine._queue if not e.cancelled
+            1 for _time, _seq, e in engine._queue if not e.cancelled
         )
         assert engine.pending_events == expected
         engine.run_until(9.5)
-        expected = sum(1 for e in engine._queue if not e.cancelled)
+        expected = sum(1 for _time, _seq, e in engine._queue if not e.cancelled)
         assert engine.pending_events == expected
