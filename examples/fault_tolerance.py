@@ -20,7 +20,15 @@ Run:  python examples/fault_tolerance.py
 
 import numpy as np
 
-from repro.cloud import HOUR, CloudConfig, SimCloud, SpotTrace, TraceZoneSpec, make_correlated_trace
+from repro.cloud import (
+    HOUR,
+    CloudConfig,
+    InstanceState,
+    SimCloud,
+    SpotTrace,
+    TraceZoneSpec,
+    make_correlated_trace,
+)
 from repro.core import spothedge
 from repro.serving import (
     DomainFilter,
@@ -100,9 +108,11 @@ def main() -> None:
     print(f"latency p50 {stats.latency.p50:.1f}s p99 {stats.latency.p99:.1f}s")
     print(f"availability {controller.availability(600, DURATION, n_tar=3):.1%}")
     print("\nwhat the controller survived:")
-    print(f"  spot preemptions:   {int(cloud.preemptions.value)} "
-          f"(with {int(sum(1 for i in cloud.billing.instances if i.preempt_warned))} warned)")
-    print(f"  instance crashes:   {int(cloud.crashes.value)}")
+    instances = cloud.billing.instances
+    reclaimed = [i for i in instances if i.state is InstanceState.PREEMPTED and not i.crashed]
+    print(f"  spot preemptions:   {len(reclaimed)} "
+          f"(with {sum(1 for i in instances if i.preempt_warned)} warned)")
+    print(f"  instance crashes:   {sum(1 for i in instances if i.crashed)}")
     print(f"  probe failures:     {int(controller.probe_failure_count.value)} "
           f"(the frozen endpoint)")
     print(f"  launch failures:    {int(cloud.launch_failures.value)}")

@@ -24,13 +24,13 @@ Subcommands:
     Preemption-correlation and search-space analysis of a trace
     (Figs. 3 and 5).
 ``repro events``
-    Summarise a JSONL telemetry log written by ``repro serve --events``:
-    replica timeline, preemption counts, per-leg latency percentiles,
-    policy decision counts, and chaos injections.
+    Print a JSONL telemetry log written by ``serve``/``replay --events``
+    one line per event, optionally only the events of one kind.
 ``repro report``
-    Aggregate an event log (or a seeded in-memory replay) into a run
-    report: terminal dashboard with fleet/cost/SLO timelines and hot
-    profiler phases, plus a canonical byte-stable JSON artifact.
+    Aggregate an event log into a run report: terminal dashboard with
+    fleet/cost/SLO timelines, latency legs, counters, the replica
+    lifecycle table and hot profiler phases, plus a canonical
+    byte-stable JSON artifact.
 ``repro hetero``
     Heterogeneous GPU fleet experiments (``repro.experiments.hetero``):
     ``repro hetero frontier`` replays the homogeneous single-type
@@ -83,10 +83,8 @@ from repro.telemetry import (
     JsonlSink,
     MetricsSink,
     configure_logging,
-    format_summary,
     read_events,
 )
-from repro.telemetry.render import _table
 from repro.workloads import WORKLOAD_KINDS, arena_workload, make_workload
 
 __all__ = ["build_parser", "main"]
@@ -132,7 +130,17 @@ def _policy_factory(name: str) -> Callable:
 
 
 def _print_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
-    print("\n".join(_table(headers, rows)))
+    widths = [
+        max(len(str(headers[i])), *(len(str(r[i])) for r in rows))
+        if rows
+        else len(str(headers[i]))
+        for i in range(len(headers))
+    ]
+    line = "  ".join(str(h).ljust(w) for h, w in zip(headers, widths))
+    print(line)
+    print("-" * len(line))
+    for row in rows:
+        print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
 # ----------------------------------------------------------------------
@@ -207,7 +215,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     )
     if jsonl_sink is not None:
         print(f"\nwrote {jsonl_sink.count} events to {args.events} "
-              f"(summarise with: repro events {args.events})")
+              f"(summarise with: repro report {args.events})")
     if metrics_sink is not None:
         Path(args.metrics_out).write_text(metrics_sink.registry.render_prometheus())
         print(f"wrote Prometheus metrics snapshot to {args.metrics_out}")
@@ -264,7 +272,7 @@ def _cmd_serve_up(args: argparse.Namespace) -> int:
     )
     if jsonl_sink is not None:
         print(f"\nwrote {jsonl_sink.count} events to {args.events} "
-              f"(summarise with: repro events {args.events})")
+              f"(summarise with: repro report {args.events})")
     if args.report:
         Path(args.report).write_text(fleet.to_json())
         print(f"wrote fleet cost/SLO report to {args.report}")
@@ -579,64 +587,36 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_events(args: argparse.Namespace) -> int:
-    path = Path(args.log)
+def _read_log(log: str) -> list:
+    path = Path(log)
     if not path.exists():
-        raise SystemExit(f"no such event log: {args.log}")
+        raise SystemExit(f"no such event log: {log}")
     try:
-        events = read_events(path)
+        return read_events(path)
     except json.JSONDecodeError as exc:
-        raise SystemExit(f"malformed event log {args.log}: {exc}")
+        raise SystemExit(f"malformed event log {log}: {exc}")
+
+
+def _cmd_events(args: argparse.Namespace) -> int:
+    events = _read_log(args.log)
     if args.kind:
         events = [e for e in events if e.kind == args.kind]
         if not events:
             print(f"no {args.kind!r} events in {args.log}")
             return 0
-    if args.timeline:
-        for event in events:
-            data = event.to_dict()
-            kind = data.pop("kind")
-            time = data.pop("time")
-            fields = " ".join(f"{k}={v}" for k, v in data.items())
-            print(f"t={time:10.1f}  {kind:<24} {fields}")
-        return 0
-    print(format_summary(events, replica_limit=args.replica_limit))
+    for event in events:
+        data = event.to_dict()
+        kind = data.pop("kind")
+        time = data.pop("time")
+        fields = " ".join(f"{k}={v}" for k, v in data.items())
+        print(f"t={time:10.1f}  {kind:<24} {fields}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from repro.telemetry import RingBufferSink, build_report, render_dashboard
+    from repro.telemetry import build_report, render_dashboard
 
-    if args.log:
-        path = Path(args.log)
-        if not path.exists():
-            raise SystemExit(f"no such event log: {args.log}")
-        try:
-            events = read_events(path)
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"malformed event log {args.log}: {exc}")
-        label = path.name
-    elif args.replay:
-        # Seeded in-memory replay: deterministic, so the artifact is
-        # byte-identical across invocations of the same command line.
-        trace = _load_trace(args.trace)
-        factory = _policy_factory(args.policy)
-        sink = RingBufferSink()
-        replayer = TraceReplayer(
-            trace,
-            ReplayConfig(n_tar=args.target, k=args.k),
-            seed=args.seed,
-            telemetry=EventBus([sink]),
-        )
-        replayer.run(factory(trace.zone_ids))
-        events = sink.events
-        marker = sink.drop_event()
-        if marker is not None:
-            events.append(marker)
-        label = f"{args.policy}@{trace.name} seed={args.seed}"
-    else:
-        raise SystemExit("pass an event log, or --replay to replay a trace")
-    report = build_report(events, label=label)
+    report = build_report(_read_log(args.log), label=Path(args.log).name)
     if not args.no_dashboard:
         print(render_dashboard(report, top_k=args.top_k), end="")
     if args.json:
@@ -895,31 +875,17 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--threshold", type=int, default=1)
     analyze.set_defaults(func=_cmd_analyze)
 
-    events = sub.add_parser("events", help="summarise a JSONL telemetry log")
-    events.add_argument("log", help="JSONL file written by serve --events")
-    events.add_argument("--kind", help="only consider events of this kind")
-    events.add_argument("--timeline", action="store_true",
-                        help="print every event in order instead of a summary")
-    events.add_argument("--replica-limit", type=int, default=40,
-                        help="max rows in the replica timeline table")
+    events = sub.add_parser(
+        "events", help="print a JSONL telemetry log, one line per event")
+    events.add_argument("log", help="JSONL file written by serve/replay --events")
+    events.add_argument("--kind", help="only print events of this kind")
     events.set_defaults(func=_cmd_events)
 
     report = sub.add_parser(
         "report",
         help="render a run report: terminal dashboard + canonical JSON",
     )
-    report.add_argument("log", nargs="?",
-                        help="JSONL event log (from serve/replay --events)")
-    report.add_argument("--replay", action="store_true",
-                        help="replay a trace with telemetry and report on it")
-    report.add_argument("--trace", default="gcp1",
-                        help="canned name or trace file (with --replay)")
-    report.add_argument("--policy", default="SpotHedge",
-                        help="replay policy (with --replay)")
-    report.add_argument("--target", type=int, default=4, help="N_Tar")
-    report.add_argument("--k", type=float, default=3.0,
-                        help="on-demand/spot price ratio")
-    report.add_argument("--seed", type=int, default=0)
+    report.add_argument("log", help="JSONL event log (from serve/replay --events)")
     report.add_argument("--top-k", type=int, default=8,
                         help="hot phases shown in the dashboard")
     report.add_argument("--json", help="write the canonical report JSON here")

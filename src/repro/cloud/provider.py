@@ -98,10 +98,7 @@ class SimCloud:
         self.config = config or CloudConfig()
         self._rng = (rng or RngRegistry(0)).stream("cloud")
         self.billing = BillingMeter()
-        self.preemptions = Counter("preemptions")
         self.launch_failures = Counter("launch_failures")
-        self.crashes = Counter("instance_crashes")
-        self.preemptions_by_zone: dict[str, int] = {z: 0 for z in trace.zone_ids}
         self._alive: dict[str, list[Instance]] = {z: [] for z in trace.zone_ids}
         self._od_alive: dict[str, list[Instance]] = {}
         self._doomed: set[int] = set()  # instances warned, awaiting the kill
@@ -228,13 +225,6 @@ class SimCloud:
                 instance.callbacks.on_failed(instance)
             return
         instance.transition(InstanceState.PREEMPTED, self.engine.now)
-        if not instance.crashed:
-            # Crashes are tallied separately; only spot reclaims count
-            # as market preemptions.
-            self.preemptions.add()
-            self.preemptions_by_zone[instance.zone_id] = (
-                self.preemptions_by_zone.get(instance.zone_id, 0) + 1
-            )
         if instance.callbacks.on_preempted is not None:
             instance.callbacks.on_preempted(instance)
 
@@ -332,7 +322,6 @@ class SimCloud:
         if instance.state.is_terminal:
             return
         instance.crashed = True
-        self.crashes.add()
         self._kill(instance)
 
     def terminate(self, instance: Instance) -> None:

@@ -534,7 +534,7 @@ class TelemetryJsonRule(Rule):
     id = "REPRO-J001"
     name = "telemetry-json"
     rationale = (
-        "Events flow to JsonlSink and back through `repro events`, and "
+        "Events flow to JsonlSink and back through `repro report`, and "
         "metric observations land in canonical report JSON; a payload "
         "holding a set, generator, lambda, or bytes either crashes the "
         "sink mid-experiment or (sets) serialises in nondeterministic "

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import logging
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,7 @@ class ServiceController:
         adaptive_parallelism: bool = False,
         probe_interval: Optional[float] = None,
         probe_timeout: float = 30.0,
+        replica_ids: Optional[Iterator[int]] = None,
     ) -> None:
         self.engine = engine
         self.cloud = cloud
@@ -138,7 +139,9 @@ class ServiceController:
         #: controller adds or removes entries (it keeps an index of them).
         self.replicas: list[Replica] = []
         self._index: Optional[_ReplicaIndex] = None
-        self._replica_ids = itertools.count(1)
+        #: Replica id source; controllers sharing one engine share it, so
+        #: ids stay unique across the tenants of one event log.
+        self._replica_ids = replica_ids if replica_ids is not None else itertools.count(1)
         self._instance_replica: dict[int, Replica] = {}
         self._adaptive_parallelism = adaptive_parallelism
 

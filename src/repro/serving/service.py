@@ -12,6 +12,7 @@ and a :class:`SkyService` are wired by the same code.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Optional
@@ -152,6 +153,7 @@ class _ServiceStack:
             rng=self.rng,
         )
         self.injector: Optional["ChaosInjector"] = None
+        self._replica_ids = itertools.count(1)
 
     def _controller(
         self,
@@ -177,6 +179,7 @@ class _ServiceStack:
             rng=self.rng.stream(stream),
             client_region=client_region,
             adaptive_parallelism=adaptive_parallelism,
+            replica_ids=self._replica_ids,
         )
 
     def _arm(self) -> None:

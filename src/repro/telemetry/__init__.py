@@ -19,14 +19,12 @@ The observability layer of the reproduction (see
     paths (replay loop, continuous-batching step).
 ``repro.telemetry.report``
     Canonical per-run JSON report artifacts and the ``repro report``
-    terminal dashboard.
+    terminal dashboard — the one reader that aggregates an event log.
 ``repro.telemetry.spans``
     Per-request latency legs (queue / prefill / decode / WAN) that sum
     exactly to the client-recorded end-to-end latency.
 ``repro.telemetry.audit``
     The policy decision audit log: every Alg. 1 step with its inputs.
-``repro.telemetry.render``
-    Timeline/summary rendering for the ``repro events`` CLI subcommand.
 ``repro.telemetry.logsetup``
     Stdlib logging configuration under the single ``repro`` root logger.
 ``repro.telemetry.clock``
@@ -87,7 +85,6 @@ from repro.telemetry.metrics import (
     registry_from_events,
 )
 from repro.telemetry.profile import NULL_PROFILER, PhaseProfiler, PhaseStats
-from repro.telemetry.render import EventLogSummary, format_summary, summarize
 from repro.telemetry.report import RunReport, build_report, render_dashboard
 from repro.telemetry.sinks import (
     JsonlSink,
@@ -118,7 +115,6 @@ __all__ = [
     "CounterFamily",
     "CounterMetric",
     "EventBus",
-    "EventLogSummary",
     "EventsDropped",
     "FleetSample",
     "GaugeFamily",
@@ -162,13 +158,11 @@ __all__ = [
     "default_budgets",
     "event_from_dict",
     "event_kinds",
-    "format_summary",
     "iter_events",
     "read_events",
     "registry_from_events",
     "render_dashboard",
     "root_logger",
-    "summarize",
     "wall_monotonic",
     "wall_time",
 ]

@@ -465,7 +465,7 @@ class EventsDropped(TelemetryEvent):
     """A bounded sink dropped events (ring buffer overflow).
 
     Emitted by code that drains a :class:`~repro.telemetry.sinks.
-    RingBufferSink` so the loss is visible in ``repro events`` output
+    RingBufferSink` so the loss is visible in ``repro report`` output
     instead of silent; ``dropped_total`` is cumulative.
     """
 

@@ -479,6 +479,12 @@ class MetricsSink:
             "slo_burn_alerts_total", "SLO burn-rate alert transitions.",
             ("budget", "state"),
         )
+        self._policy_decisions = reg.counter(
+            "policy_decisions_total", "Serving-policy decisions.", ("decision",)
+        )
+        self._chaos_injections = reg.counter(
+            "chaos_injections_total", "Chaos faults injected.", ("injection",)
+        )
         self._ready = reg.gauge(
             "fleet_ready_replicas", "Ready replicas (step series).", ()
         )
@@ -556,6 +562,8 @@ class MetricsSink:
             "cost.snapshot": self._on_cost,
             "replica.load": self._on_load,
             "slo.burn_alert": self._on_burn_alert,
+            "policy.decision": self._on_policy_decision,
+            "chaos.injected": self._on_chaos_injected,
             "telemetry.dropped": self._on_dropped,
             "tenant.admission": self._on_tenant_admission,
             "tenant.eviction": self._on_tenant_eviction,
@@ -623,6 +631,12 @@ class MetricsSink:
 
     def _on_burn_alert(self, event: Any) -> None:
         self._burn_alerts.labels(event.budget, event.state).inc()
+
+    def _on_policy_decision(self, event: Any) -> None:
+        self._policy_decisions.labels(event.decision).inc()
+
+    def _on_chaos_injected(self, event: Any) -> None:
+        self._chaos_injections.labels(event.injection).inc()
 
     def _on_dropped(self, event: Any) -> None:
         self._dropped.labels().set(event.time, float(event.dropped_total))

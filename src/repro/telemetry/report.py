@@ -19,7 +19,7 @@ run recorded any.  Two properties fall out of that design:
 
 ``render_dashboard`` draws the terminal view: fleet/cost/SLO timelines
 as unicode sparklines, latency percentiles, counter tables, burn
-alerts, and the top-k hot phases.
+alerts, the replica lifecycle table, and the top-k hot phases.
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ REPORT_SCHEMA = "repro.report/v1"
 
 #: Timeline width (buckets) for downsampled series and sparklines.
 TIMELINE_WIDTH = 64
+
+#: Replica rows the dashboard shows; the JSON artifact keeps every row.
+DASHBOARD_REPLICA_ROWS = 40
 
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"
 
@@ -120,6 +123,70 @@ def sparkline(values: Sequence[float], width: int = TIMELINE_WIDTH) -> str:
     return "".join(chars)
 
 
+class _ReplicaRow:
+    """One replica's lifecycle (launch -> ready -> end) and peak load."""
+
+    __slots__ = (
+        "replica_id", "spot", "zone", "launched", "ready", "ended", "outcome",
+        "peak_batch", "peak_queue", "shed",
+    )
+
+    def __init__(self, replica_id: int) -> None:
+        self.replica_id = replica_id
+        self.spot: Optional[bool] = None
+        self.zone = ""
+        self.launched: Optional[float] = None
+        self.ready: Optional[float] = None
+        self.ended: Optional[float] = None
+        self.outcome = "running"
+        self.peak_batch = 0
+        self.peak_queue = 0
+        self.shed = 0
+
+    def accept(self, event: Any) -> None:
+        self.zone = event.zone or self.zone
+        kind = event.kind
+        if kind == "replica.load":
+            # Periodic snapshots; ``shed`` is cumulative, so the max is
+            # the last sample's count.
+            self.peak_batch = max(self.peak_batch, event.executing)
+            self.peak_queue = max(self.peak_queue, event.queued)
+            self.shed = max(self.shed, event.shed)
+            return
+        if hasattr(event, "spot"):
+            self.spot = event.spot
+        if kind == "replica.launch":
+            self.launched = event.time
+        elif kind == "replica.ready":
+            self.ready = event.time
+        elif kind == "replica.preempted":
+            self.ended = event.time
+            self.outcome = "preempted (warned)" if event.warned else "preempted"
+        elif kind == "replica.terminated":
+            self.ended = event.time
+            self.outcome = event.reason
+        elif kind == "replica.launch_failed":
+            self.ended = event.time
+            self.outcome = "launch failed"
+
+    def to_dict(self) -> dict[str, Any]:
+        def time(value: Optional[float]) -> Optional[float]:
+            return None if value is None else _round(value)
+
+        return {
+            "id": self.replica_id,
+            "market": None if self.spot is None else ("spot" if self.spot else "on_demand"),
+            "zone": self.zone,
+            "launched": time(self.launched),
+            "ready": time(self.ready),
+            "ended": time(self.ended),
+            "outcome": self.outcome,
+            "peak_batch": self.peak_batch,
+            "peak_queue": self.peak_queue,
+            "shed": self.shed,
+        }
+
+
 class RunReport:
     """Aggregated view of one run's event log."""
 
@@ -132,6 +199,7 @@ class RunReport:
         time_range: tuple[float, float],
         dropped_total: int = 0,
         label: str = "",
+        replicas: Iterable[_ReplicaRow] = (),
     ) -> None:
         self.registry = registry
         self.slo = slo
@@ -139,6 +207,8 @@ class RunReport:
         self.time_range = time_range
         self.dropped_total = dropped_total
         self.label = label
+        #: Per-replica lifecycle rows in id (launch) order.
+        self.replicas = sorted(replicas, key=lambda row: row.replica_id)
         #: phase -> (calls, total_s, max_s, sampled); see profile_section.
         self._profile_phases: dict[str, tuple[int, float, float, bool]] = {}
 
@@ -175,6 +245,7 @@ class RunReport:
         for metric_name, key in (
             ("request_latency_seconds", "latency"),
             ("request_ttft_seconds", "ttft"),
+            ("request_leg_seconds", "leg"),
         ):
             family = self.registry.get(metric_name)
             if family is None:
@@ -192,6 +263,16 @@ class RunReport:
                     "max": _round(child.max),
                 }
         return out
+
+    def cost_section(self) -> dict[str, float]:
+        """Final accrued cost by market (empty if no cost snapshot)."""
+        family = self.registry.get("cost_accrued_dollars")
+        if family is None:
+            return {}
+        return {
+            values[0]: _round(child.last)
+            for values, child in sorted(family.children().items())
+        }
 
     def tenants_section(self) -> dict[str, Any]:
         """Per-tenant roll-up of the control-plane event kinds.
@@ -242,11 +323,14 @@ class RunReport:
         t0, t1 = self.time_range
         counters = {}
         for name in (
+            "chaos_injections_total",
             "events_total",
             "lb_fallbacks_total",
+            "policy_decisions_total",
             "replica_launch_failures_total",
             "replica_launches_total",
             "replica_preemptions_total",
+            "replica_preemptions_warned_total",
             "requests_routed_total",
             "requests_shed_total",
             "slo_burn_alerts_total",
@@ -273,6 +357,8 @@ class RunReport:
                 "cost_total": [_round(v, 4) for v in self.cost_timeline()],
             },
             "latency": self.latency_summary(),
+            "cost": self.cost_section(),
+            "replicas": [row.to_dict() for row in self.replicas],
             "tenants": self.tenants_section(),
             "slo": self.slo.snapshot(),
             "alerts": [
@@ -316,12 +402,18 @@ def build_report(
     t1 = -math.inf
     dropped = 0
     profile: dict[str, tuple[int, float, float, bool]] = {}
+    replicas: dict[int, _ReplicaRow] = {}
     for event in events:
         count += 1
         metrics.accept(event)
         slo.accept(event)
         kind = event.kind
-        if kind == "telemetry.dropped":
+        if kind.startswith("replica.") and event.replica_id >= 0:
+            row = replicas.get(event.replica_id)
+            if row is None:
+                row = replicas[event.replica_id] = _ReplicaRow(event.replica_id)
+            row.accept(event)
+        elif kind == "telemetry.dropped":
             dropped = max(dropped, event.dropped_total)
         elif kind == "profile.phase":
             prev = profile.get(event.phase)
@@ -351,12 +443,17 @@ def build_report(
         time_range=(t0, t1),
         dropped_total=dropped,
         label=label,
+        replicas=replicas.values(),
     )
     report._profile_phases = profile
     return report
 
 
 # -- terminal rendering -----------------------------------------------
+
+
+def _fmt_time(value: Optional[float]) -> str:
+    return "-" if value is None else f"{value:.0f}s"
 
 
 def _fmt_duration(seconds: float) -> str:
@@ -399,6 +496,12 @@ def render_dashboard(report: RunReport, *, top_k: int = 8) -> str:
         hi = max(series)
         lines.append(
             f"  {title:<13}{sparkline(series)}  [{lo:.6g} .. {hi:.6g}]"
+        )
+    cost = data["cost"]
+    if cost:
+        lines.append(
+            f"  cost: ${cost['total']:.2f} (spot ${cost['spot']:.2f} / "
+            f"on-demand ${cost['on_demand']:.2f})"
         )
     if len(lines) > 3:
         lines.append("")
@@ -473,6 +576,28 @@ def render_dashboard(report: RunReport, *, top_k: int = 8) -> str:
     if counter_lines:
         lines.append("  counters:")
         lines.extend(counter_lines)
+        lines.append("")
+
+    replicas = data["replicas"]
+    if replicas:
+        shown = replicas[:DASHBOARD_REPLICA_ROWS]
+        zone_width = max(4, *(len(row["zone"]) for row in shown)) + 2
+        lines.append(f"  replicas ({len(replicas)}):")
+        lines.append(
+            f"    {'id':>6}  {'market':<10}{'zone':<{zone_width}}"
+            f"{'launched':>9}{'ready':>9}{'ended':>9}  {'outcome':<20}"
+            f"{'batch':>6}{'queue':>6}{'shed':>6}"
+        )
+        for row in shown:
+            lines.append(
+                f"    {row['id']:>6}  {row['market'] or '-':<10}"
+                f"{row['zone'] or '-':<{zone_width}}"
+                f"{_fmt_time(row['launched']):>9}{_fmt_time(row['ready']):>9}"
+                f"{_fmt_time(row['ended']):>9}  {row['outcome']:<20}"
+                f"{row['peak_batch']:>6}{row['peak_queue']:>6}{row['shed']:>6}"
+            )
+        if len(replicas) > len(shown):
+            lines.append(f"    … {len(replicas) - len(shown)} more")
         lines.append("")
 
     profile = data["profile"]

@@ -6,7 +6,7 @@ Two are provided here:
 * :class:`RingBufferSink` — bounded in-memory buffer, the default for
   tests and interactive use;
 * :class:`JsonlSink` — one JSON object per line, the durable format the
-  ``repro events`` CLI subcommand reads back.
+  ``repro report`` and ``repro events`` CLI subcommands read back.
 
 Prometheus text export is
 :meth:`~repro.telemetry.metrics.MetricRegistry.render_prometheus` over a
@@ -34,7 +34,7 @@ class RingBufferSink:
     """Keeps the last ``capacity`` events in memory (all, when ``None``).
 
     Bounded buffers overwrite oldest-first; every overwrite increments
-    ``dropped_total`` so the loss is observable (``repro events`` prints
+    ``dropped_total`` so the loss is observable (``repro report`` prints
     it, and :meth:`drop_event` packages it as a
     :class:`~repro.telemetry.events.EventsDropped` event for logs).
     """

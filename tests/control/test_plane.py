@@ -190,6 +190,18 @@ class TestRecordedFleetReport:
         if telemetry:
             assert any(e.kind == "policy.decision" for e in sink.events)
 
+    def test_replica_ids_unique_across_tenants(self):
+        # Every tenant's controller draws from the plane's one id
+        # source, so a replica id names one replica in the whole log.
+        deployment = load_deployment(
+            REPO_ROOT / "configs" / "deployments" / "three-tenants.json"
+        )
+        sink = RingBufferSink()
+        ControlPlane(deployment, aws1(), seed=0, telemetry=EventBus([sink])).run(HOUR)
+        ids = [e.replica_id for e in sink.events if e.kind == "replica.launch"]
+        assert len({e.tenant for e in sink.events if e.kind == "tenant.admission"}) == 3
+        assert len(ids) == len(set(ids))
+
 
 # ----------------------------------------------------------------------
 # Two services on one flat two-zone market: independence and contention

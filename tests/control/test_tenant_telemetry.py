@@ -1,4 +1,4 @@
-"""Tenant event kinds flow into metrics, run reports, and summaries."""
+"""Tenant event kinds flow into metrics, run reports, and event logs."""
 
 from repro.telemetry.events import (
     TenantAdmission,
@@ -7,8 +7,8 @@ from repro.telemetry.events import (
     event_from_dict,
 )
 from repro.telemetry.metrics import MetricsSink
-from repro.telemetry.render import format_summary
 from repro.telemetry.report import build_report, render_dashboard
+from repro.telemetry.sinks import JsonlSink, read_events
 
 
 def sample_events():
@@ -63,9 +63,20 @@ class TestTenantReportSections:
         text = render_dashboard(build_report(sample_events()))
         assert "tenant" in text
         assert "a" in text and "b" in text
+        assert "2.00" in text
+        assert "3.00" in text
 
-    def test_event_log_summary_renders_tenant_table(self):
-        text = format_summary(sample_events())
-        assert "tenants:" in text
-        assert "$2.00" in text
-        assert "$3.00" in text
+    def test_event_log_summary_renders_tenant_table(self, tmp_path):
+        # The path ``repro report LOG`` takes: events written as JSONL,
+        # read back, and rendered by the one dashboard.
+        log = tmp_path / "events.jsonl"
+        sink = JsonlSink(log)
+        for event in sample_events():
+            sink.accept(event)
+        sink.close()
+        text = render_dashboard(build_report(read_events(log)))
+        assert "tenant" in text and "cost ($)" in text
+        rows = {line.split()[0]: line for line in text.splitlines()
+                if line.strip() and line.split()[0] in ("a", "b")}
+        assert "2.00" in rows["a"]
+        assert "3.00" in rows["b"]

@@ -150,7 +150,6 @@ def _tiny_trace():
          SystemExit),
         (lambda: main(["sweep", "--trace", "aws1", "--policies", "Nope"]),
          SystemExit),
-        (lambda: main(["report", "--replay", "--policy", "Nope"]), SystemExit),
         (lambda: main(["chaos", "run", "--trace", "aws1", "--policies", "Nope"]),
          SystemExit),
         (lambda: run_matrix(_tiny_trace(), [builtin_scenario("preemption-storm")],
@@ -158,7 +157,7 @@ def _tiny_trace():
          ValueError),
         (lambda: TenantSpec(service=ServiceSpec(name="t"), policy="Nope"), ValueError),
     ],
-    ids=["replay", "sweep", "report", "chaos-run", "run_matrix", "tenant-spec"],
+    ids=["replay", "sweep", "chaos-run", "run_matrix", "tenant-spec"],
 )
 def test_one_unknown_policy_error_everywhere(entry, error):
     with pytest.raises(error, match=UNKNOWN_POLICY):

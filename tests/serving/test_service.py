@@ -22,7 +22,7 @@ from repro.serving import (
     ServiceSpec,
     SkyService,
 )
-from repro.telemetry import EventBus, RingBufferSink, summarize
+from repro.telemetry import EventBus, RingBufferSink, build_report
 from repro.workloads import poisson_workload
 
 
@@ -128,9 +128,9 @@ class TestTeardown:
         live = [r.id for r in service.controller.replicas]
         assert live
         service.down()
-        rows = summarize(sink.events).replicas
-        assert not [r for r in rows.values() if r.outcome == "running"]
-        assert {rows[rid].outcome for rid in live} == {"teardown"}
+        rows = {row["id"]: row for row in build_report(sink.events).to_dict()["replicas"]}
+        assert not [r for r in rows.values() if r["outcome"] == "running"]
+        assert {rows[rid]["outcome"] for rid in live} == {"teardown"}
         assert service.controller._instance_replica == {}
 
 

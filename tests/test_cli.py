@@ -158,19 +158,27 @@ class TestEventsCommand:
         log = self._serve_with_events(tmp_path, capsys)
         assert log.exists()
         assert main(["events", str(log)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        # One line per logged event, in log order.
+        assert len(lines) == len(log.read_text().splitlines())
+        assert lines[0].startswith("t=")
+        assert main(["report", str(log)]) == 0
         out = capsys.readouterr().out
-        assert "events by kind:" in out
-        assert "replica timeline:" in out
-        assert "request spans:" in out
+        assert "replicas (" in out
+        assert "leg.queue" in out
 
     def test_timeline_and_kind_filter(self, tmp_path, capsys):
         log = self._serve_with_events(tmp_path, capsys)
-        assert main(["events", str(log), "--timeline",
-                     "--kind", "replica.launch"]) == 0
+        assert main(["events", str(log), "--kind", "replica.launch"]) == 0
         out = capsys.readouterr().out
         lines = [line for line in out.splitlines() if line.strip()]
         assert lines
         assert all("replica.launch" in line for line in lines)
+
+    def test_summary_flags_removed(self, tmp_path):
+        for flag in (["--timeline"], ["--replica-limit", "5"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["events", "x.jsonl", *flag])
 
     def test_missing_log_rejected(self, tmp_path):
         with pytest.raises(SystemExit):
@@ -195,44 +203,65 @@ class TestEventsCommand:
 
 class TestReportCommand:
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["report", "--replay"])
-        assert args.replay
-        assert args.trace == "gcp1"
-        assert args.policy == "SpotHedge"
+        args = build_parser().parse_args(["report", "run.jsonl"])
+        assert args.log == "run.jsonl"
         assert args.top_k == 8
+        assert args.json is None
+        assert not args.no_dashboard
 
-    def test_requires_log_or_replay(self):
-        with pytest.raises(SystemExit, match="--replay"):
-            main(["report"])
+    def test_requires_log(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["report"])
+
+    def test_replay_options_removed(self):
+        # Reports read logs only: replay with --events, then report.
+        for flag in ("--replay", "--policy", "--trace", "--target", "--k", "--seed"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["report", "run.jsonl", flag, "1"])
 
     def test_missing_log_rejected(self, tmp_path):
         with pytest.raises(SystemExit, match="no such event log"):
             main(["report", str(tmp_path / "nope.jsonl")])
 
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(SystemExit, match="unknown serving policy 'Nope'"):
-            main(["report", "--replay", "--policy", "Nope"])
+    def _replay_with_events(self, tmp_path, capsys):
+        log = tmp_path / "replay.jsonl"
+        assert main(["replay", "--trace", "aws1", "--target", "2",
+                     "--policies", "SpotHedge", "--events", str(log)]) == 0
+        capsys.readouterr()
+        return log
 
-    def test_replay_dashboard(self, capsys):
-        assert main(["report", "--replay", "--trace", "aws1",
-                     "--target", "2"]) == 0
+    def test_report_from_replay_event_log(self, tmp_path, capsys):
+        log = self._replay_with_events(tmp_path, capsys)
+        assert main(["report", str(log)]) == 0
         out = capsys.readouterr().out
-        assert "SpotHedge@AWS 1 seed=0" in out
+        assert "replay.jsonl" in out
         assert "fleet" in out
         assert "cost" in out
 
-    def test_replay_json_byte_identical_across_invocations(
-        self, tmp_path, capsys
-    ):
-        argv = ["report", "--replay", "--trace", "aws1", "--target", "2",
-                "--no-dashboard"]
+    def test_replay_log_report_byte_identical(self, tmp_path, capsys):
+        from repro.core import spothedge
+        from repro.experiments import ReplayConfig, TraceReplayer
+        from repro.telemetry import EventBus, RingBufferSink, build_report, read_events
+
+        log = self._replay_with_events(tmp_path, capsys)
+        argv = ["report", str(log), "--no-dashboard"]
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         assert main(argv + ["--json", str(a)]) == 0
         assert main(argv + ["--json", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
         data = json.loads(a.read_text())
         assert data["schema"] == "repro.report/v1"
-        assert data["label"] == "SpotHedge@AWS 1 seed=0"
+        assert data["label"] == "replay.jsonl"
+        assert data["replicas"]
+        # The log is a lossless copy of the run: reading it back builds
+        # the same report as the run's in-memory events.
+        trace = aws1()
+        sink = RingBufferSink()
+        TraceReplayer(
+            trace, ReplayConfig(n_tar=2, k=4.0), seed=0, telemetry=EventBus([sink])
+        ).run(spothedge(trace.zone_ids))
+        from_log = build_report(read_events(log), label="x").to_json()
+        assert from_log == build_report(sink.events, label="x").to_json()
 
     def test_report_from_serve_event_log(self, tmp_path, capsys):
         log = tmp_path / "events.jsonl"
