@@ -522,35 +522,42 @@ def test_profiler_overhead_and_phases(benchmark):
     """The stride-sampled phase profiler on the replay hot path.
 
     Two pins: (1) profiling enabled slows the replay by <5% (the
-    stride-16 sampling means one clock-read pair per 16 steps per
+    stride-32 sampling means one clock-read pair per 32 steps per
     phase); (2) the recorded phase totals land in BENCH_replay.json as
     ``replay_phases`` so the perf-regression trajectory
     (``python -m repro.devtools.perfreg``) carries hot-phase timings.
 
     Interleaved min-of-5, like ``test_telemetry_overhead``: alternating
-    samples cancel drift and ``min`` discards scheduler noise.
+    samples cancel drift and ``min`` discards scheduler noise.  A smoke
+    replay takes ~20 ms, short enough for one preemption of the process
+    to cost the 5% budget, so each smoke sample times ten replays.
     """
     from repro.telemetry import PhaseProfiler
 
     trace = perf_trace()
     config = ReplayConfig(n_tar=4)
+    replays_per_sample = 10 if SMOKE else 1
 
     def replay(profiler):
         replayer = TraceReplayer(trace, config, profiler=profiler)
         return replayer.run(spothedge(ZONES))
 
-    def sample(profiler):
+    def sample(profilers):
+        # ``profilers`` holds one PhaseProfiler (or None) per replay, so
+        # the recorded phase totals stay those of a single replay.
         start = time.perf_counter()
-        replay(profiler)
+        for profiler in profilers:
+            replay(profiler)
         return time.perf_counter() - start
 
     replay(None)  # warm caches before timing
     off_times, on_times = [], []
     profiler = None
     for _ in range(5):
-        off_times.append(sample(None))
-        profiler = PhaseProfiler()
-        on_times.append(sample(profiler))
+        off_times.append(sample([None] * replays_per_sample))
+        profilers = [PhaseProfiler() for _ in range(replays_per_sample)]
+        on_times.append(sample(profilers))
+        profiler = profilers[-1]
 
     off, on = min(off_times), min(on_times)
     overhead = on / off - 1.0

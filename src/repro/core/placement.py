@@ -302,6 +302,9 @@ class RoundRobinPlacer(SpotPlacer):
         self, zones: Sequence[str], zone_costs: Optional[Mapping[str, float]] = None
     ) -> None:
         super().__init__(zones, zone_costs)
+        #: Index of the next zone to offer, kept in ``range(len(zones))``
+        #: so equal rotations leave equal state (the replay engine's
+        #: shortage cycles compare pickled policy state).
         self._next = 0
 
     def select_zone(
@@ -309,9 +312,10 @@ class RoundRobinPlacer(SpotPlacer):
         current_placements: Mapping[str, int],
         excluded: AbstractSet[str] = frozenset(),
     ) -> Optional[str]:
-        for _ in range(len(self.zones)):
-            zone = self.zones[self._next % len(self.zones)]
-            self._next += 1
+        n_zones = len(self.zones)
+        for _ in range(n_zones):
+            zone = self.zones[self._next]
+            self._next = (self._next + 1) % n_zones
             if zone not in excluded:
                 return zone
         return None

@@ -19,21 +19,28 @@ decision at every skipped step.
   horizon.
 * **Shortage windows.**  The step was *failure-only* — its only
   activity was spot launches that failed for want of capacity — and it
-  is a fixed point: the previous step was failure-only too, with the
-  same ordered tuple of failed zones, and ``pickle.dumps(policy)`` is
-  unchanged across the step.  The pickle covers every attribute
-  (placer zone lists, caches, any RNG state) with no per-policy code,
-  so the next step sees the same state and observation, makes the same
-  launch attempts into the same zones, and they fail again.  The window
-  additionally ends at the first step where a failed zone's capacity
-  rises above its count, and adds ``width × failures per step`` to the
-  launch-failure count.  It needs the telemetry bus disabled (every
+  closes a cycle: ``pickle.dumps(policy)`` after it equals the pickle
+  after a step ``p`` back in the same run of consecutive failure-only
+  steps.  The pickle covers every attribute (placer zone lists,
+  caches, any RNG state) with no per-policy code, and nothing in the
+  fleet changes within the run, so the next ``p`` steps see the same
+  states and observations as the last ``p``, make the same launch
+  attempts into the same zones, and fail again.  Alg. 1's Z_A/Z_P
+  rebalance rotates its zone lists with a period of up to one less
+  than the zone count; round robin's cursor is kept modulo the zone
+  count so it repeats too.  The window ends at the first of: a
+  capacity rise above the count in any zone that failed anywhere in
+  the cycle, a capacity fall below the count in an occupied zone, or
+  the next promotion.  Whole cycles are skipped, adding ``cycles ×
+  failures per cycle`` to the launch-failure count; the partial
+  remainder is stepped.  It needs the telemetry bus disabled (every
   failure is an event); no RNG is drawn on failure-only steps, so the
-  stream position does not move.  Snapshots are taken only while the
-  failed-zone tuple repeats, and a mismatch (e.g. Alg. 1's Z_A/Z_P
-  rebalance rotating the zone lists) stops them until the tuple
-  changes; a policy that cannot be pickled is stepped one step at a
-  time.
+  stream position does not move.  A run remembers its last 32 steps
+  (the longest detectable period is 31); a step is pickled only when
+  its failed-zone tuple already occurred in the run and no promotion or
+  preemption ends the window at the next step, and a run that spends
+  32 pickles without closing a cycle takes no more.  A policy that
+  cannot be pickled is stepped one step at a time.
 
 Capacity crossings are looked up by run (:func:`crossing_lookup`): each
 zone row is split once into runs of equal capacity, and a query checks

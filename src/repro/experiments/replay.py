@@ -80,15 +80,17 @@ ENGINES: tuple[str, ...] = ("discrete", "hybrid")
 
 logger = logging.getLogger(__name__)
 
-#: Shared empty exclusion set for launch attempts (avoids building a
-#: fresh frozenset per reconcile round on the replay hot path).
-_EMPTY_FROZENSET: frozenset = frozenset()
-
 #: What ``pickle.dumps`` raises for a policy it cannot serialise
-#: (shortage fixed-point check): lambdas and local classes raise
+#: (shortage cycle check): lambdas and local classes raise
 #: ``PicklingError``/``AttributeError``, locks and generators
 #: ``TypeError``.
 _PICKLE_ERRORS = (pickle.PicklingError, TypeError, AttributeError)
+
+#: Shortage cycles: how many failure-only steps of the current run are
+#: remembered (so the longest detectable period is one less), and how
+#: many policy pickles a run may take without closing a cycle before
+#: it stops taking them.
+_CYCLE_CAP = 32
 
 #: Profiling samples every (mask+1)-th iteration of the replay loop.  Stride
 #: sampling keeps the enabled-profiler overhead under the 5% budget
@@ -361,12 +363,15 @@ class TraceReplayer:
         zone_ready: dict[str, int] = {zone: 0 for zone in zones}
         eff_list: list[float] = []
         eff = 0.0
+        # Observed placements (non-zero zone counts), rebuilt only after
+        # a count changes; Observations share it until then.
+        placed: Optional[dict[str, int]] = None
         # Step 6 state (hybrid engine only, see repro.experiments.fastpath):
         # run-indexed capacity crossings, price rows as numpy rows for
-        # window products, and the shortage fixed-point tracker — the
-        # failed-zone tuple of the previous failure-only step, the policy
-        # snapshot taken while that tuple repeats, and whether snapshots
-        # are worth taking.
+        # window products, and the shortage cycle tracker — the failed-
+        # zone tuples of the current run of failure-only steps, the
+        # policy pickle after each (None where none was taken), and the
+        # pickles taken since the run last closed a cycle.
         fast_forward = self.engine == "hybrid" and supports_fluid(policy)
         if fast_forward:
             next_crossing = crossing_lookup(trace, zone_caps)
@@ -376,9 +381,9 @@ class TraceReplayer:
                 else None
             )
         fast_forwarded = 0
-        stall_key: Optional[tuple[str, ...]] = None
-        snapshot: Optional[bytes] = None
-        snap_armed = False
+        run_keys: deque[tuple[str, ...]] = deque(maxlen=_CYCLE_CAP)
+        run_snaps: deque[Optional[bytes]] = deque(maxlen=_CYCLE_CAP)
+        run_pickles = 0
         picklable = True
         next_id = self._next_id
         # Pre-bound callables: attribute lookups on ``policy``/``cfg``
@@ -483,6 +488,7 @@ class TraceReplayer:
                     on_preempted(zone)
                 zone_count[zone] = count - excess
                 spot_total -= excess
+                placed = None
             if do_profile:
                 t_now = prof_clock()
                 prof_acc("replay.preempt", t_now - t_mark)
@@ -495,17 +501,13 @@ class TraceReplayer:
             ready_spot_obs = spot_ready
             ready_od_obs = od_ready
             n_od = len(od)
+            if placed is None:
+                placed = {z: c for z, c in zone_count.items() if c}
             # Positional construction (field order: now, n_tar,
             # spot_launched, spot_ready, od_launched, od_ready,
             # spot_by_zone) — kwargs are measurably slower here.
             obs = Observation(
-                now,
-                n_tar,
-                spot_total,
-                ready_spot_obs,
-                n_od,
-                ready_od_obs,
-                {z: c for z, c in zone_count.items() if c},
+                now, n_tar, spot_total, ready_spot_obs, n_od, ready_od_obs, placed
             )
             mix = target_mix(obs)
             if do_profile:
@@ -514,7 +516,9 @@ class TraceReplayer:
                 t_mark = t_now
 
             # 3. Reconcile spot fleet.  Zones that already returned a
-            # capacity error this step are not retried within the step.
+            # capacity error this step are not retried within the step:
+            # ``failed`` is an insertion-ordered set of them, and its
+            # live keys view is the ``excluded`` set every attempt sees.
             # The observation is rebuilt only after a successful launch —
             # a failed attempt changes nothing the policy can observe
             # except the ``excluded`` set, which is passed separately.
@@ -526,20 +530,15 @@ class TraceReplayer:
             counted = spot_total if mix.count_provisioning_spot else ready_spot_obs
             tried = counted < spot_target
             attempts = 0
-            failed_order: list[str] = []
-            excluded = _EMPTY_FROZENSET
+            failed: dict[str, None] = {}
+            excluded = failed.keys()
             obs_now: Optional[Observation] = obs
             while counted < spot_target and attempts < max_attempts:
                 attempts += 1
                 if obs_now is None:
+                    placed = {z: c for z, c in zone_count.items() if c}
                     obs_now = Observation(
-                        now,
-                        n_tar,
-                        spot_total,
-                        ready_spot_obs,
-                        n_od,
-                        ready_od_obs,
-                        {z: c for z, c in zone_count.items() if c},
+                        now, n_tar, spot_total, ready_spot_obs, n_od, ready_od_obs, placed
                     )
                 zone = select_spot_zone(obs_now, excluded)
                 if zone is None:
@@ -557,6 +556,7 @@ class TraceReplayer:
                     zone_insts[zone].append(inst)
                     zone_count[zone] += 1
                     spot_total += 1
+                    placed = None
                     if d <= 0:
                         inst.ready = True
                         spot_ready += 1
@@ -571,8 +571,7 @@ class TraceReplayer:
                     obs_now = None  # placements changed: rebuild lazily
                 else:
                     launch_failures += 1
-                    failed_order.append(zone)
-                    excluded = frozenset(failed_order)
+                    failed[zone] = None
                     if bus_enabled:
                         # No replica object ever existed for a failed
                         # attempt at this granularity: id -1.
@@ -600,6 +599,7 @@ class TraceReplayer:
                         zone_ready[victim.zone] -= 1
                 zone_count[victim.zone] -= 1
                 spot_total -= 1
+                placed = None
                 if bus_enabled:
                     bus.emit(
                         ReplicaTerminated(
@@ -632,18 +632,20 @@ class TraceReplayer:
 
             # 5. Accrue cost and record readiness.
             if price_rows is not None:
-                spot_cost += (
+                spot_step = (
                     sum(c * price_rows[z][k_step] for z, c in zone_count.items() if c)
                     * hours
                 )  # base multiplier folded into the per-step rows
             elif multipliers:
-                spot_cost += (
+                spot_step = (
                     sum(c * multipliers.get(z, 1.0) for z, c in zone_count.items() if c)
                     * hours
                 )  # spot replica-hour = 1 unit at the base price
             else:
-                spot_cost += spot_total * hours
-            od_cost += len(od) * cfg.k * hours
+                spot_step = spot_total * hours
+            spot_cost += spot_step
+            od_step = len(od) * cfg.k * hours
+            od_cost += od_step
             total_ready = spot_ready + od_ready
             if bus_enabled and (k_step == 0 or total_ready != ready_list[-1]):
                 bus.emit(FleetSample(now, total_ready, n_tar))
@@ -662,61 +664,79 @@ class TraceReplayer:
 
             # 6. Fast-forward the steps that provably repeat this one
             # (hybrid engine; the rules are in repro.experiments.fastpath).
+            # A quiescent step repeats until the next promotion or
+            # capacity crossing.  A failure-only step joins the run of
+            # them in run_keys/run_snaps; once its pickle equals the one
+            # ``period`` entries back, those steps form a cycle that
+            # repeats whole until a zone that failed in it gains capacity.
             after = k_step + 1
             nxt = after
-            if activity or not fast_forward:
-                stall_key = None
-            else:
-                shortage = False
-                if not tried:
-                    # Quiescent: the same no-op decision repeats until the
-                    # next promotion or capacity crossing.
-                    stall_key = None
+            if activity or not tried or not fast_forward:
+                # Any other kind of step ends the run of failure-only steps.
+                if run_keys:
+                    run_keys.clear()
+                    run_snaps.clear()
+                run_pickles = 0
+            if fast_forward and not activity:
+                key = tuple(failed)
+                # A window can follow a failure-only step only once its
+                # failed-zone tuple recurs in the run (a cycle repeats
+                # its tuples) and the run has pickles left to spend.
+                candidate = not tried or (
+                    key in run_keys
+                    and run_pickles < _CYCLE_CAP
+                    and picklable
+                    and not bus_enabled
+                )
+                if candidate:
+                    # Bound the window by the next preemption or
+                    # promotion; churn usually ends it at the very next
+                    # step, so stop looking once it cannot get shorter.
                     nxt = n_steps
-                else:
-                    # Failure-only: a candidate fixed point once the
-                    # failed-zone tuple repeats; the failures repeat until
-                    # a failed zone gains capacity.
-                    key = tuple(failed_order)
-                    if key != stall_key:
-                        stall_key = key
-                        snapshot = None
-                        snap_armed = True
-                    elif snap_armed and picklable and not bus_enabled:
-                        shortage = True
-                        nxt = n_steps
-                        for zone in key:
-                            nxt = min(nxt, next_crossing(zone, zone_count[zone], after, True))
-                # Bound the window; churn usually ends it at the very next
-                # step, so stop looking once it cannot get any shorter.
-                for zone, count in zone_count.items():
-                    if count and nxt > after:
-                        nxt = min(nxt, next_crossing(zone, count, after, False))
-                if pending_spot and nxt > after:
-                    nxt = min(nxt, bucket_step(pending_spot[0].ready_at, step))
-                if pending_od and nxt > after:
-                    nxt = min(nxt, bucket_step(pending_od[0].ready_at, step))
-                if shortage:
-                    # Confirm the fixed point: the policy left this step
-                    # exactly as it entered it (the snapshot holds its
-                    # state after the previous step).  Snapshots are only
-                    # worth taking while a window could follow.
-                    if nxt == after:
-                        snapshot = None
-                    else:
+                    for zone, count in zone_count.items():
+                        if count and nxt > after:
+                            nxt = min(nxt, next_crossing(zone, count, after, False))
+                    if pending_spot and nxt > after:
+                        nxt = min(nxt, bucket_step(pending_spot[0].ready_at, step))
+                    if pending_od and nxt > after:
+                        nxt = min(nxt, bucket_step(pending_od[0].ready_at, step))
+                if tried:
+                    snap: Optional[bytes] = None
+                    period = 0
+                    if candidate and nxt > after:
                         try:
                             snap = pickle.dumps(policy, pickle.HIGHEST_PROTOCOL)
                         except _PICKLE_ERRORS:
                             picklable = False
-                            nxt = after
                         else:
-                            if snap != snapshot:
-                                if snapshot is None:
-                                    snapshot = snap
-                                else:
-                                    # Stop until the tuple changes.
-                                    snap_armed = False
-                                nxt = after
+                            run_pickles += 1
+                            n_run = len(run_snaps)
+                            for back in range(1, n_run + 1):
+                                if run_snaps[n_run - back] == snap:
+                                    period = back
+                                    break
+                    if period:
+                        # The cycle is the last period - 1 recorded steps
+                        # plus this one; it repeats until any of its
+                        # failed zones gains capacity.
+                        run_pickles = 0
+                        cycle_failures = len(key)
+                        cycle_zones = set(key)
+                        for index in range(len(run_keys) - period + 1, len(run_keys)):
+                            cycle_failures += len(run_keys[index])
+                            cycle_zones.update(run_keys[index])
+                        for zone in cycle_zones:
+                            if nxt > after:
+                                nxt = min(nxt, next_crossing(zone, zone_count[zone], after, True))
+                        # Skip whole cycles only; the partial remainder is
+                        # stepped (and found to repeat again).
+                        cycles = (nxt - after) // period
+                        nxt = after + cycles * period
+                        launch_failures += cycles * cycle_failures
+                    else:
+                        nxt = after
+                    run_keys.append(key)
+                    run_snaps.append(snap)
                 if nxt > after:
                     # Fill steps after..nxt-1 in closed form.
                     width = nxt - after
@@ -724,32 +744,32 @@ class TraceReplayer:
                     od_list += [len(od)] * width
                     if track_eff:
                         eff_list += [eff] * width
-                    # Seeded sequential accumulate: buf[0] carries the
-                    # running total and np.add.accumulate applies the
-                    # per-step adds in order — the exact float left fold
-                    # of the per-step accrual above.
-                    buf = np.empty(width + 1)
-                    if price_np is not None:
-                        contrib = np.zeros(width)
-                        for z, c in zone_count.items():
-                            if c:
-                                contrib = contrib + c * price_np[z][after:nxt]
-                        buf[1:] = contrib * hours
-                    elif multipliers:
-                        buf[1:] = (
-                            sum(c * multipliers.get(z, 1.0) for z, c in zone_count.items() if c)
-                            * hours
-                        )
+                    if width == 1 and price_np is None:
+                        # The fleet is unchanged, so the next step
+                        # accrues exactly what this one did.
+                        spot_cost += spot_step
+                        od_cost += od_step
                     else:
-                        buf[1:] = spot_total * hours
-                    buf[0] = spot_cost
-                    np.add.accumulate(buf, out=buf)
-                    spot_cost = float(buf[-1])
-                    buf[0] = od_cost
-                    buf[1:] = len(od) * cfg.k * hours
-                    np.add.accumulate(buf, out=buf)
-                    od_cost = float(buf[-1])
-                    launch_failures += width * len(failed_order)
+                        # Seeded sequential accumulate: buf[0] carries the
+                        # running total and np.add.accumulate applies the
+                        # per-step adds in order — the exact float left
+                        # fold of the per-step accrual above.
+                        buf = np.empty(width + 1)
+                        if price_np is not None:
+                            contrib = np.zeros(width)
+                            for z, c in zone_count.items():
+                                if c:
+                                    contrib = contrib + c * price_np[z][after:nxt]
+                            buf[1:] = contrib * hours
+                        else:
+                            buf[1:] = spot_step
+                        buf[0] = spot_cost
+                        np.add.accumulate(buf, out=buf)
+                        spot_cost = float(buf[-1])
+                        buf[0] = od_cost
+                        buf[1:] = od_step
+                        np.add.accumulate(buf, out=buf)
+                        od_cost = float(buf[-1])
                     fast_forwarded += width
             if do_profile:
                 prof_acc("replay.accrue", prof_clock() - t_mark)

@@ -171,6 +171,35 @@ class TestRoundRobin:
         picks = [placer.select_zone({}) for _ in range(4)]
         assert "z1" in picks
 
+    @pytest.mark.parametrize(
+        "exclusions",
+        [
+            [frozenset()],
+            [frozenset(["z2"])],
+            [frozenset(), frozenset(["z1", "z3"]), frozenset(ZONES)],
+        ],
+    )
+    def test_bounded_cursor_matches_unbounded_rotation(self, exclusions):
+        """The cursor is stored modulo the zone count (so equal
+        rotations leave equal state) and picks exactly the zones the
+        unbounded counter ``zones[next % n]`` picked."""
+
+        def unbounded(excluded, cursor):
+            for _ in range(len(ZONES)):
+                zone = ZONES[cursor[0] % len(ZONES)]
+                cursor[0] += 1
+                if zone not in excluded:
+                    return zone
+            return None
+
+        placer = RoundRobinPlacer(ZONES)
+        cursor = [0]
+        for call in range(3 * len(ZONES)):
+            excluded = exclusions[call % len(exclusions)]
+            assert placer.select_zone({}, excluded) == unbounded(excluded, cursor)
+            assert 0 <= placer._next < len(ZONES)
+            assert placer._next == cursor[0] % len(ZONES)
+
 
 class TestFactory:
     def test_known_kinds(self):

@@ -354,6 +354,27 @@ class TestShortageFastForward:
         replayer, _ = self.run_both(self.shortage_trace(), _UnpicklableEvenSpread)
         assert replayer.fast_forwarded_steps == 0
 
+    @pytest.mark.parametrize(
+        "trace_factory, factory, max_stepped",
+        [
+            (aws1, spothedge, 1298),
+            (aws1, round_robin_policy, 432),
+            (aws2, spothedge, 1096),
+            (aws2, round_robin_policy, 787),
+        ],
+    )
+    def test_stepped_work_stays_bounded(self, trace_factory, factory, max_stepped):
+        # Work-count guard: the steps a hybrid replay still processes on
+        # the bundled shortage-heavy traces (N_Tar 4, seed 0).  The
+        # bounds are the counts with the shortage cycle rule in place;
+        # before it, Alg. 1's period-2 rebalance and round robin's
+        # unbounded cursor left 8474, 2125, 11920 and 11919 steps
+        # stepped.  Deterministic counts, no timing.
+        trace = trace_factory()
+        replayer = TraceReplayer(trace, ReplayConfig(n_tar=4), seed=0)
+        replayer.run(factory(trace.zone_ids))
+        assert trace.n_steps - replayer.fast_forwarded_steps <= max_stepped
+
 
 class TestBucketStep:
     @pytest.mark.parametrize("step", [60.0, 1.0, 0.1, 7.3])

@@ -9,6 +9,7 @@ leave the RNG stream in the same state.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.baselines import MArkPolicy
@@ -336,3 +337,70 @@ class _UnpicklableEvenSpread(MixturePolicy):
 def test_unpicklable_stationary_policy_byte_identical(trace, n_tar, seed):
     config = ReplayConfig(n_tar=n_tar, cold_start=120.0)
     replay_both(trace, config, lambda: _UnpicklableEvenSpread(ZONES), seed=seed)
+
+
+# ----------------------------------------------------------------------
+# Shortage cycles: failure-only windows whose policy state repeats with
+# a period longer than one step.
+# ----------------------------------------------------------------------
+
+CYCLE_ZONES = ["aws:r1:a", "aws:r1:b", "aws:r2:a", "gcp:r3:a", "gcp:r4:a", "azure:r5:a"]
+
+
+@st.composite
+def cycle_shortages(draw):
+    """A 4–6 zone trace ending in a long shortage, and an N_Tar above the
+    shortage's total capacity.  An optional random-capacity prefix
+    places a fleet; then at least two zones black out and the rest hold a
+    small constant capacity, so every step tries to launch and, once
+    the fleet is ready, every launch fails.  Alg. 1's Z_A/Z_P rebalance
+    makes SpotHedge's state repeat with a period above one (two when
+    two zones are full and two black, at three attempts per step), and
+    the round-robin cursor repeats too."""
+    n_zones = draw(st.integers(4, len(CYCLE_ZONES)))
+    zones = CYCLE_ZONES[:n_zones]
+    blacked = draw(st.sets(st.integers(0, n_zones - 1), min_size=2))
+    held = [0 if i in blacked else draw(st.integers(1, 2)) for i in range(n_zones)]
+    prefix = draw(st.integers(0, 15))
+    length = draw(st.integers(80, 120))
+    rows = [
+        draw(st.lists(st.integers(0, 4), min_size=prefix, max_size=prefix)) + [cap] * length
+        for cap in held
+    ]
+    n_tar = sum(held) + draw(st.integers(1, 3))
+    return SpotTrace("prop-cycles", zones, 60.0, np.asarray(rows)), n_tar
+
+
+@given(
+    cycle_shortages(),
+    st.sampled_from([round_robin_policy, spothedge]),
+    st.sampled_from([3, 8]),
+    st.sampled_from([0.0, 60.0, 150.0]),
+    st.integers(0, 3),
+)
+@settings(max_examples=60, deadline=None)
+def test_shortage_cycles_fast_forward(shortage, factory, attempts, cold_start, seed):
+    trace, n_tar = shortage
+    config = ReplayConfig(
+        n_tar=n_tar, cold_start=cold_start, max_launch_attempts_per_step=attempts
+    )
+    (fast,) = replay_both(trace, config, lambda: factory(trace.zone_ids), seed=seed)
+    assert fast.fast_forwarded_steps > 0
+
+
+@pytest.mark.parametrize("length", range(30, 36))
+def test_shortage_cycle_remainder_is_stepped(length):
+    # Two full zones and two black ones at three attempts per step:
+    # SpotHedge fails through the same two-step cycle until the third
+    # zone gains capacity at ``length``.  Only whole cycles are skipped, so
+    # the count is even; across consecutive lengths the window leaves
+    # a one-step remainder half the time, which is stepped.
+    zones = CYCLE_ZONES[:4]
+    grid = np.zeros((4, length + 5), dtype=int)
+    grid[:2] = 1
+    grid[2, length:] = 1
+    trace = SpotTrace("prop-remainder", zones, 60.0, grid)
+    config = ReplayConfig(n_tar=4, cold_start=60.0, max_launch_attempts_per_step=3)
+    (fast,) = replay_both(trace, config, lambda: spothedge(zones))
+    assert fast.fast_forwarded_steps > 0
+    assert fast.fast_forwarded_steps % 2 == 0

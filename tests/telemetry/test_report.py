@@ -471,3 +471,28 @@ class TestReplicaConservation:
             times = [row[k] for k in ("launched", "ready", "ended") if row[k] is not None]
             assert row["launched"] is not None, row
             assert times == sorted(times), row
+
+    def test_replay_log_counts_failed_attempts_not_replicas(self, tmp_path, capsys):
+        # A replay log records a failed launch *attempt* with replica id
+        # -1: it counts in replica_launch_failures_total but is no
+        # replica, so it gets no row.
+        from repro.cli import main
+
+        log = tmp_path / "replay.jsonl"
+        raw = tmp_path / "replay.json"
+        assert main([
+            "replay", "--trace", "aws1", "--policies", "SpotHedge", "--target", "2",
+            "--events", str(log), "--json", str(raw),
+        ]) == 0
+        capsys.readouterr()
+        result = json.loads(raw.read_text())["experiments"]["replay"]["SpotHedge"]
+        data = build_report(read_events(log)).to_dict()
+        rows = data["replicas"]
+        counters = data["counters"]
+
+        def total(name):
+            return sum(counters.get(name, {}).values())
+
+        assert len(rows) == total("replica_launches_total") > 0
+        assert not [row for row in rows if row["outcome"] == "launch failed"]
+        assert total("replica_launch_failures_total") == result["launch_failures"] > 0
