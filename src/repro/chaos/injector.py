@@ -62,7 +62,17 @@ class DegradedNetworkModel(NetworkModel):
         super().__init__()
         self._base = base
         self._engine = engine
-        self._degradations = list(degradations)
+        #: Each degradation with its bare region names (``None`` when
+        #: it is not region-scoped), resolved once.
+        self._degradations: list[tuple[NetworkDegradation, Optional[frozenset[str]]]] = [
+            (
+                degradation,
+                frozenset(self._bare_region(r) for r in degradation.regions)
+                if degradation.regions
+                else None,
+            )
+            for degradation in degradations
+        ]
 
     def rtt(self, region_a: str, region_b: str) -> float:
         rtt = self._base.rtt(region_a, region_b)
@@ -71,13 +81,11 @@ class DegradedNetworkModel(NetworkModel):
         if a == b:
             return rtt
         now = self._engine.now
-        for degradation in self._degradations:
+        for degradation, scoped in self._degradations:
             if not degradation.active_at(now):
                 continue
-            if degradation.regions:
-                scoped = {self._bare_region(r) for r in degradation.regions}
-                if a not in scoped and b not in scoped:
-                    continue
+            if scoped is not None and a not in scoped and b not in scoped:
+                continue
             rtt += degradation.extra_rtt
         return rtt
 

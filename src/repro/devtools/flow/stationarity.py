@@ -4,6 +4,8 @@
 hybrid replay engine (``repro.experiments.fastpath``) fast-forwards on:
 across a quiescent trace window the policy would return the same
 decisions every step, so the engine may skip consulting it.  The
+service controller's settled ticks skip it on the same grounds while
+the fleet is unchanged (``repro.serving.controller``).  The
 declaration is trusted — this pass verifies it statically, in both
 directions:
 

@@ -10,7 +10,6 @@ from repro.experiments.endtoend import (
     spot_zone_costs,
     standard_policies,
 )
-from repro.experiments.fastpath import supports_fluid
 from repro.experiments.hetero import (
     FLEETS,
     frontier_to_json,
@@ -57,6 +56,5 @@ __all__ = [
     "service_report_to_dict",
     "spot_zone_costs",
     "standard_policies",
-    "supports_fluid",
     "grid_sweep",
 ]

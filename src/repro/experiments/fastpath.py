@@ -8,8 +8,9 @@ readiness/on-demand/effective series are constant fills and both cost
 series advance by a seeded sequential accumulate — and resumes there.
 Fast-forwarding requires a policy that declares
 :attr:`~repro.serving.policy.ServingPolicy.stationary_decisions` with no
-audit log attached (:func:`supports_fluid`), so it makes the same
-decision at every skipped step.
+audit log attached (:func:`repro.serving.policy.supports_fluid`, the
+predicate the service controller's settled ticks use too), so it makes
+the same decision at every skipped step.
 
 * **Quiescent windows.**  The step completed with *zero* fleet activity
   (no promotions, preemptions, launch attempts, scale-downs or
@@ -65,9 +66,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from repro.cloud.traces import SpotTrace
-from repro.serving.policy import ServingPolicy
 
-__all__ = ["bucket_step", "crossing_lookup", "supports_fluid"]
+__all__ = ["bucket_step", "crossing_lookup"]
 
 
 def bucket_step(ready_at: float, step: float) -> int:
@@ -84,16 +84,6 @@ def bucket_step(ready_at: float, step: float) -> int:
     while s > 0 and (s - 1) * step >= ready_at:
         s -= 1
     return s
-
-
-def supports_fluid(policy: ServingPolicy) -> bool:
-    """Whether windows may be fast-forwarded for ``policy``.
-
-    Requires the policy's stationarity declaration *and* no attached
-    audit log — ``PolicyAuditLog.touch`` keys on ``obs.now``, so an
-    audited policy must be consulted every step.
-    """
-    return bool(getattr(policy, "stationary_decisions", False)) and policy.audit is None
 
 
 def crossing_lookup(

@@ -44,8 +44,8 @@ from typing import Callable, Mapping, MutableSequence, Optional, Sequence
 import numpy as np
 
 from repro.cloud.traces import SpotTrace
-from repro.experiments.fastpath import bucket_step, crossing_lookup, supports_fluid
-from repro.serving.policy import Observation, ServingPolicy
+from repro.experiments.fastpath import bucket_step, crossing_lookup
+from repro.serving.policy import Observation, ServingPolicy, supports_fluid
 from repro.sim.rng import RngRegistry
 from repro.telemetry.events import (
     NULL_BUS,

@@ -19,7 +19,7 @@ from repro.serving.load_balancer import (
     RoundRobinBalancer,
     make_balancer,
 )
-from repro.serving.policy import MixTarget, Observation, ServingPolicy
+from repro.serving.policy import MixTarget, Observation, ServingPolicy, supports_fluid
 from repro.serving.registry import (
     AUTOSCALE_MODES,
     BALANCERS,
@@ -68,6 +68,7 @@ __all__ = [
     "SkyService",
     "make_balancer",
     "load_entry_point_plugins",
+    "supports_fluid",
     "llama2_70b_profile",
     "opt_6_7b_profile",
     "vicuna_13b_profile",

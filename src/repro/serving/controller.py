@@ -11,6 +11,18 @@ controller + readiness-probe design.
 Policy/mechanism split: all decisions about *how many* and *where* come
 from the attached :class:`~repro.serving.policy.ServingPolicy`
 (SpotHedge or a baseline); the controller only executes them.
+
+Settled ticks: most ticks find nothing to do.  A tick that launched,
+retired and destroyed nothing, found both markets exactly on target
+and nothing draining leaves the controller *settled* on its replica
+index and N_Tar.  While both are still the same objects/values and the
+policy passes :func:`~repro.serving.policy.supports_fluid` (declared
+stationary, no audit log), the next tick runs the autoscaler and
+records its samples but skips observing, deciding and reconciling: a
+stationary policy would return the same mix for the same fleet, and
+the reconciles would act on nothing.  Any lifecycle event clears the
+marker (it may have changed the policy's state), and any fleet change
+replaces the index, so such ticks decide in full.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from repro.cloud.provider import SimCloud
 from repro.serving.autoscaler import Autoscaler
 from repro.serving.inference import ModelProfile, scale_profile_for_accelerator
 from repro.serving.load_balancer import LoadBalancer, make_balancer
-from repro.serving.policy import MixTarget, Observation, ServingPolicy
+from repro.serving.policy import MixTarget, Observation, ServingPolicy, supports_fluid
 from repro.serving.replica import Replica, ReplicaState
 from repro.serving.spec import ServiceSpec
 from repro.sim.engine import EventHandle, SimulationEngine
@@ -62,40 +74,94 @@ _MAX_OVERREQUEST_FACTOR = 4
 
 
 class _ReplicaIndex:
-    """The replica views the controller reads on every request and every
-    tick, each in launch order (the order of
+    """The replica views and counts the controller reads on every
+    request and every tick, each view in launch order (the order of
     :attr:`ServiceController.replicas`).
 
     * ``ready``: ready and not draining — what the balancer picks from;
     * ``routable[spot]``: the same, split by market (doomed replicas
       included: they serve until the cloud reclaims them);
     * ``alive[spot]``: not dead, not draining and not doomed — what
-      counts toward the policy's targets.
+      counts toward the policy's targets;
+    * ``spot_ready``/``od_ready``: the ready members of ``alive``;
+      ``provisioning_spot``: the rest of ``alive[True]``;
+    * ``spot_by_zone``: ``alive[True]`` counted per zone, in first-launch
+      order (the :class:`Observation` field; callers copy it);
+    * ``draining``: replicas being scaled down, still serving.
 
     Built in one pass over the replica list.  The controller drops it on
-    every lifecycle change (launch, ready, migration, drain, doom,
-    death, removal) and the next read rebuilds it, so routing a request
-    filters nothing: lifecycle changes are rare next to requests.
+    every lifecycle change (ready, migration, drain, doom, death,
+    removal) and the next read rebuilds it; a launch extends it instead
+    (:meth:`plus_launch`).  Routing a request filters nothing and a tick
+    sums nothing: lifecycle changes are rare next to requests and ticks.
+    Every change makes a new object, so a tick can tell by identity that
+    the fleet has not changed since the last one.
     """
 
-    __slots__ = ("ready", "routable", "alive")
+    __slots__ = (
+        "ready",
+        "routable",
+        "alive",
+        "spot_ready",
+        "od_ready",
+        "provisioning_spot",
+        "spot_by_zone",
+        "draining",
+    )
 
     def __init__(self, replicas: Sequence[Replica]) -> None:
         ready: list[Replica] = []
         routable: dict[bool, list[Replica]] = {True: [], False: []}
         alive: dict[bool, list[Replica]] = {True: [], False: []}
+        by_zone: dict[str, int] = {}
+        spot_ready = od_ready = draining = 0
         for replica in replicas:
             if replica.draining:
+                draining += 1
                 continue
             state = replica.state
-            if state is ReplicaState.READY:
+            is_ready = state is ReplicaState.READY
+            spot = replica.spot
+            if is_ready:
                 ready.append(replica)
-                routable[replica.spot].append(replica)
+                routable[spot].append(replica)
             if state is not ReplicaState.DEAD and not replica.doomed:
-                alive[replica.spot].append(replica)
+                alive[spot].append(replica)
+                if spot:
+                    zone = replica.zone_id
+                    by_zone[zone] = by_zone.get(zone, 0) + 1
+                    spot_ready += is_ready
+                else:
+                    od_ready += is_ready
         self.ready = tuple(ready)
         self.routable = {spot: tuple(rs) for spot, rs in routable.items()}
         self.alive = {spot: tuple(rs) for spot, rs in alive.items()}
+        self.spot_ready = spot_ready
+        self.od_ready = od_ready
+        self.provisioning_spot = len(alive[True]) - spot_ready
+        self.spot_by_zone = by_zone
+        self.draining = draining
+
+    def plus_launch(self, replica: Replica) -> _ReplicaIndex:
+        """A new index equal to the rebuild after ``replica`` — just
+        launched: provisioning, neither draining nor doomed — was
+        appended to the replica list.  Only its market's ``alive`` view
+        and the spot counts change, so nothing is re-walked."""
+        index = _ReplicaIndex.__new__(_ReplicaIndex)
+        index.ready = self.ready
+        index.routable = self.routable
+        index.alive = dict(self.alive)
+        index.alive[replica.spot] += (replica,)
+        index.spot_ready = self.spot_ready
+        index.od_ready = self.od_ready
+        index.provisioning_spot = self.provisioning_spot
+        index.spot_by_zone = self.spot_by_zone
+        index.draining = self.draining
+        if replica.spot:
+            index.provisioning_spot += 1
+            by_zone = index.spot_by_zone = dict(self.spot_by_zone)
+            by_zone[replica.zone_id] = by_zone.get(replica.zone_id, 0) + 1
+        return index
 
 
 class ServiceController:
@@ -139,6 +205,9 @@ class ServiceController:
         #: controller adds or removes entries (it keeps an index of them).
         self.replicas: list[Replica] = []
         self._index: Optional[_ReplicaIndex] = None
+        #: ``(index, N_Tar)`` of the last tick that left the fleet on
+        #: target (see :meth:`_tick`); None after a lifecycle event.
+        self._settled: Optional[tuple[_ReplicaIndex, int]] = None
         #: Replica id source; controllers sharing one engine share it, so
         #: ids stay unique across the tenants of one event log.
         self._replica_ids = replica_ids if replica_ids is not None else itertools.count(1)
@@ -298,30 +367,20 @@ class ServiceController:
         now)."""
         return self._replica_index().alive[spot]
 
-    def _routable_replicas(self, spot: bool) -> tuple[Replica, ...]:
-        """Replicas the balancer may still send traffic to — includes
-        doomed-but-alive ones riding out their warning grace."""
-        return self._replica_index().routable[spot]
-
     def ready_replicas(self) -> list[Replica]:
         """Ready, not-draining replicas in launch order."""
         return list(self._replica_index().ready)
 
     def observe(self) -> Observation:
         index = self._replica_index()
-        spot_alive = index.alive[True]
-        od_alive = index.alive[False]
-        by_zone: dict[str, int] = {}
-        for replica in spot_alive:
-            by_zone[replica.zone_id] = by_zone.get(replica.zone_id, 0) + 1
         return Observation(
             now=self.engine.now,
             n_tar=self.autoscaler.n_tar,
-            spot_launched=len(spot_alive),
-            spot_ready=sum(1 for r in spot_alive if r.is_ready),
-            od_launched=len(od_alive),
-            od_ready=sum(1 for r in od_alive if r.is_ready),
-            spot_by_zone=by_zone,
+            spot_launched=len(index.alive[True]),
+            spot_ready=index.spot_ready,
+            od_launched=len(index.alive[False]),
+            od_ready=index.od_ready,
+            spot_by_zone=dict(index.spot_by_zone),
         )
 
     def route(self, request: Request) -> Optional[Replica]:
@@ -408,11 +467,28 @@ class ServiceController:
                         ),
                     )
                 )
+        n_tar = self.autoscaler.n_tar
+        settled = self._settled
+        if (
+            settled is not None
+            and settled[0] is self._index
+            and settled[1] == n_tar
+            and supports_fluid(self.policy)
+        ):
+            # Nothing changed since a tick that found the fleet on
+            # target: a stationary policy would decide the same mix and
+            # the reconciles would act on nothing.
+            self._record_metrics()
+            return
+        self._settled = None
+        index = self._replica_index()
         self._reap_drained()
         obs = self.observe()
         mix = self.policy.target_mix(obs)
-        self._reconcile_spot(obs, mix)
-        self._reconcile_od(obs, mix)
+        # Both reconciles run; ``&`` does not short-circuit.
+        on_target = self._reconcile_spot(obs, mix) & self._reconcile_od(obs, mix)
+        if on_target and self._index is index and not index.draining:
+            self._settled = (index, n_tar)
         self._record_metrics()
 
     def _cooling_zones(self) -> frozenset[str]:
@@ -448,12 +524,14 @@ class ServiceController:
             spot_by_zone=ready_by_zone,
         )
 
-    def _reconcile_spot(self, obs: Observation, mix: MixTarget) -> None:
+    def _reconcile_spot(self, obs: Observation, mix: MixTarget) -> bool:
+        """Launch the spot deficit or retire the surplus; True when
+        there was neither."""
         alive = self._alive_replicas(spot=True)
         counted = (
             len(alive)
             if mix.count_provisioning_spot
-            else sum(1 for r in alive if r.is_ready)
+            else self._replica_index().spot_ready
         )
         if counted < mix.spot_target:
             cap = max(
@@ -477,8 +555,13 @@ class ServiceController:
             surplus = len(alive) - mix.spot_target
             for victim in self._scale_down_victims(alive, surplus):
                 self._retire(victim)
+        else:
+            return True
+        return False
 
-    def _reconcile_od(self, obs: Observation, mix: MixTarget) -> None:
+    def _reconcile_od(self, obs: Observation, mix: MixTarget) -> bool:
+        """Launch the on-demand deficit or retire the surplus; True
+        when there was neither."""
         alive = self._alive_replicas(spot=False)
         if len(alive) < mix.od_target:
             for _ in range(mix.od_target - len(alive)):
@@ -491,6 +574,9 @@ class ServiceController:
             surplus = len(alive) - mix.od_target
             for victim in self._scale_down_victims(alive, surplus):
                 self._retire(victim)
+        else:
+            return True
+        return False
 
     @staticmethod
     def _scale_down_victims(alive: Sequence[Replica], surplus: int) -> list[Replica]:
@@ -509,6 +595,8 @@ class ServiceController:
         self._destroy(replica, reason="scale_down")
 
     def _reap_drained(self) -> None:
+        if not self._replica_index().draining:
+            return
         for replica in list(self.replicas):
             if replica.draining and replica.ongoing_requests == 0:
                 self._destroy(replica, reason="drained")
@@ -557,7 +645,8 @@ class ServiceController:
         )
         replica.on_change = self._reindex
         self.replicas.append(replica)
-        self._reindex()
+        index = self._index
+        self._index = None if index is None else index.plus_launch(replica)
         itype = self._zone_itype[zone_id]
         callbacks = InstanceCallbacks(
             on_ready=self._on_instance_ready,
@@ -774,7 +863,10 @@ class ServiceController:
         self.engine.call_after(self.probe_timeout, check)
 
     def _after_event(self) -> None:
-        """Reconcile promptly after a lifecycle event (not re-entrantly)."""
+        """Reconcile promptly after a lifecycle event (not re-entrantly).
+        The event may have changed the policy's state, so that tick
+        decides in full."""
+        self._settled = None
         self.engine.call_after(0.0, self._tick)
 
     def _touch_audit(self) -> None:
@@ -793,18 +885,15 @@ class ServiceController:
     # ------------------------------------------------------------------
     def _record_metrics(self) -> None:
         now = self.engine.now
-        spot_alive = self._alive_replicas(spot=True)
-        od_alive = self._alive_replicas(spot=False)
+        index = self._replica_index()
         # Readiness counts include doomed-but-serving replicas: until
         # the cloud actually reclaims them they handle traffic.
-        ready_spot = len(self._routable_replicas(spot=True))
-        ready_od = len(self._routable_replicas(spot=False))
+        ready_spot = len(index.routable[True])
+        ready_od = len(index.routable[False])
         self.ready_spot_series.record(now, ready_spot)
         self.ready_od_series.record(now, ready_od)
         self.ready_total_series.record(now, ready_spot + ready_od)
-        self.provisioning_spot_series.record(
-            now, sum(1 for r in spot_alive if not r.is_ready)
-        )
+        self.provisioning_spot_series.record(now, index.provisioning_spot)
         self.n_tar_series.record(now, self.autoscaler.n_tar)
         bus = self.engine.telemetry
         if bus.enabled:

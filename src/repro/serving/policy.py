@@ -16,7 +16,10 @@ The controller calls, on every reconciliation tick:
    replica;
 
 and feeds back lifecycle events through the ``on_spot_*`` hooks (these
-drive Alg. 1's Z_A/Z_P bookkeeping).
+drive Alg. 1's Z_A/Z_P bookkeeping).  A tick that finds the fleet
+unchanged since one that left it on target skips both steps when the
+policy passes :func:`supports_fluid` (a *settled* tick,
+:mod:`repro.serving.controller`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import TYPE_CHECKING, AbstractSet, Optional
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.telemetry.audit import PolicyAuditLog
 
-__all__ = ["MixTarget", "Observation", "ServingPolicy"]
+__all__ = ["MixTarget", "Observation", "ServingPolicy", "supports_fluid"]
 
 
 @dataclass(frozen=True)
@@ -95,11 +98,14 @@ class ServingPolicy(abc.ABC):
     #: policies must return the same :class:`MixTarget` for two
     #: observations that differ only in ``now``, and any internal
     #: mutation in :meth:`target_mix` must be idempotent under repeated
-    #: identical observations.  The hybrid replay engine
-    #: (``repro.experiments.fastpath``) uses this declaration to
-    #: fast-forward across quiescent trace windows without consulting
-    #: the policy each step; policies that keep time-indexed state
-    #: (e.g. MArk's sliding prediction window) must leave it ``False``.
+    #: identical observations.  Two consumers rely on it, both through
+    #: :func:`supports_fluid`: the hybrid replay engine
+    #: (``repro.experiments.fastpath``) fast-forwards across repeating
+    #: trace windows without consulting the policy each step, and the
+    #: service controller records a reconcile tick without re-deciding
+    #: it when the fleet has not changed since a tick that found it on
+    #: target.  Policies that keep time-indexed state (e.g. MArk's
+    #: sliding prediction window) must leave it ``False``.
     stationary_decisions: bool = False
 
     #: Instance attributes a stationary policy (or its helpers) may
@@ -157,3 +163,15 @@ class ServingPolicy(abc.ABC):
 
     def on_spot_launch_failed(self, zone_id: str) -> None:
         """A spot launch attempt failed (no capacity) in ``zone_id``."""
+
+
+def supports_fluid(policy: ServingPolicy) -> bool:
+    """Whether ``policy``'s decisions may be reused instead of
+    recomputed: the replay engine's window fast-forward and the
+    controller's settled ticks.
+
+    Requires the policy's stationarity declaration *and* no attached
+    audit log — ``PolicyAuditLog.touch`` keys on ``obs.now``, so an
+    audited policy must be consulted every step.
+    """
+    return bool(getattr(policy, "stationary_decisions", False)) and policy.audit is None

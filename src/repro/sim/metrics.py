@@ -88,14 +88,17 @@ class TimeSeries:
         return list(self._values)
 
     def record(self, time: float, value: float) -> None:
-        if self._times and time < self._times[-1]:
-            raise ValueError(
-                f"time series {self.name}: sample at t={time} after t={self._times[-1]}"
-            )
-        if self._times and time == self._times[-1]:
-            self._values[-1] = value
-            return
-        self._times.append(time)
+        times = self._times
+        if times:
+            last = times[-1]
+            if time <= last:
+                if time < last:
+                    raise ValueError(
+                        f"time series {self.name}: sample at t={time} after t={last}"
+                    )
+                self._values[-1] = value
+                return
+        times.append(time)
         self._values.append(value)
 
     def value_at(self, time: float) -> float:

@@ -200,6 +200,43 @@ class TestDegradedNetwork:
             "aws:us-west-2", "aws:eu-central-1"
         )
 
+    def test_scoped_degradations_pin_rtts_inside_and_outside_windows(self):
+        # Scopes by prefixed and by bare region name, plus an unscoped
+        # window overlapping both; the penalties add in declaration order.
+        engine = SimulationEngine()
+        model = DegradedNetworkModel(
+            default_network(),
+            engine,
+            [
+                NetworkDegradation(
+                    start=0.0, end=100.0, extra_rtt=0.5, regions=("aws:ap-northeast-1",)
+                ),
+                NetworkDegradation(
+                    start=50.0, end=150.0, extra_rtt=0.25, regions=("eu-central-1",)
+                ),
+                NetworkDegradation(start=120.0, end=200.0, extra_rtt=0.1),
+            ],
+        )
+        west, tokyo, frankfurt = "aws:us-west-2", "aws:ap-northeast-1", "aws:eu-central-1"
+        gcp_tokyo = "gcp:ap-northeast-1"
+
+        def rtts():
+            return (
+                model.rtt(west, tokyo),
+                model.rtt(gcp_tokyo, west),
+                model.rtt(west, frankfurt),
+                model.rtt(west, west),
+            )
+
+        engine.run_until(10.0)  # only the Tokyo scope is active
+        assert rtts() == (0.04 + 0.5, 0.04 + 0.5, 0.14, 0.002)
+        engine.run_until(75.0)  # Tokyo and Frankfurt scopes
+        assert rtts() == (0.04 + 0.5, 0.04 + 0.5, 0.14 + 0.25, 0.002)
+        engine.run_until(130.0)  # Frankfurt scope and the unscoped window
+        assert rtts() == (0.04 + 0.1, 0.04 + 0.1, 0.14 + 0.25 + 0.1, 0.002)
+        engine.run_until(250.0)  # every window over
+        assert rtts() == (0.04, 0.04, 0.14, 0.002)
+
 
 class TestTelemetry:
     def test_scenario_lifecycle_events(self):

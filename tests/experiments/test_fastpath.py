@@ -18,7 +18,8 @@ from repro.core import OnDemandOnlyPolicy, even_spread_policy, round_robin_polic
 from repro.core.placement import EvenSpreadPlacer
 from repro.core.spothedge import MixturePolicy
 from repro.experiments import ENGINES, ReplayConfig, TraceReplayer
-from repro.experiments.fastpath import bucket_step, supports_fluid
+from repro.experiments.fastpath import bucket_step
+from repro.serving.policy import supports_fluid
 from repro.serving.registry import POLICIES
 from repro.telemetry.audit import PolicyAuditLog
 from repro.telemetry.events import EventBus

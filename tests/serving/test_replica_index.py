@@ -2,8 +2,9 @@
 
 A kitchen-sink :class:`SkyService` with two-worker replicas, adaptive
 parallelism, readiness probes, preemption warnings and instance faults
-is checked after every single engine event: the index must equal the
-list comprehensions it replaced.  The run must go through each path
+is checked after every single engine event: the index (views and
+counts, however it was last built or extended) must equal the list
+comprehensions and sums it replaced.  The run must go through each path
 that changes a replica's standing — migration, doom, drain and probe
 failure teardown — or the test proves nothing.
 """
@@ -49,6 +50,20 @@ def full_scan(controller):
     return ready, alive, routable
 
 
+def full_counts(controller, alive):
+    """The index's counts by full scan, ``spot_by_zone`` as ordered items."""
+    by_zone: dict[str, int] = {}
+    for r in alive[True]:
+        by_zone[r.zone_id] = by_zone.get(r.zone_id, 0) + 1
+    return (
+        sum(r.is_ready for r in alive[True]),
+        sum(r.is_ready for r in alive[False]),
+        sum(not r.is_ready for r in alive[True]),
+        list(by_zone.items()),
+        sum(r.draining for r in controller.replicas),
+    )
+
+
 def test_index_matches_full_scan_after_every_event():
     trace = e2e_trace("volatile", duration=DURATION, seed=0)
     spec = ServiceSpec(
@@ -83,9 +98,17 @@ def test_index_matches_full_scan_after_every_event():
         seen["events"] += 1
         ready, alive, routable = full_scan(controller)
         assert controller.ready_replicas() == ready
+        index = controller._replica_index()
         for spot in (True, False):
             assert list(controller._alive_replicas(spot)) == alive[spot]
-            assert list(controller._routable_replicas(spot)) == routable[spot]
+            assert list(index.routable[spot]) == routable[spot]
+        assert (
+            index.spot_ready,
+            index.od_ready,
+            index.provisioning_spot,
+            list(index.spot_by_zone.items()),
+            index.draining,
+        ) == full_counts(controller, alive)
         for replica in controller.replicas:
             seen["migrating"] += replica.state is ReplicaState.MIGRATING
             seen["doomed"] += replica.doomed
