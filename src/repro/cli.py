@@ -17,6 +17,10 @@ Subcommands:
     Run the four §5.1 systems on one scenario and print the comparison.
 ``repro replay``
     Replay the §5.2 policies over a named or file trace (Fig. 14a/b).
+    ``--target``, ``--cold-start`` and ``--k`` each take a comma list;
+    more than one value replays the whole grid (Fig. 14c/d), on a
+    process pool with ``--workers``, with the same output for any pool
+    size.
 ``repro trace``
     Generate a canned trace (aws1/aws2/aws3/gcp1/cpu) to JSON or CSV,
     or print its summary statistics.
@@ -55,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -70,6 +75,7 @@ from repro.experiments import (
     FLEETS,
     ReplayConfig,
     ResultStore,
+    SweepPoint,
     TraceReplayer,
     frontier_to_json,
     grid_sweep,
@@ -100,6 +106,15 @@ _CANNED_TRACES: dict[str, Callable[[], SpotTrace]] = {
 #: ``repro replay``'s default policy list, in the paper's Fig. 14 order.
 _REPLAY_DEFAULT = "SpotHedge,RoundRobin,EvenSpread,OnDemand"
 
+#: The replay parameters ``replay`` and ``chaos run`` share: option →
+#: (``ReplayConfig`` field, value type, help).  ``ReplayConfig`` holds
+#: their defaults and checks their values.
+_REPLAY_OPTIONS: dict[str, tuple[str, Callable, str]] = {
+    "--target": ("n_tar", int, "N_Tar"),
+    "--cold-start": ("cold_start", float, "cold-start seconds"),
+    "--k": ("k", float, "on-demand/spot price ratio"),
+}
+
 
 def _load_trace(spec: str) -> SpotTrace:
     """Resolve a trace argument: a canned name, a .json, or a .csv file."""
@@ -127,6 +142,13 @@ def _policy_factory(name: str) -> Callable:
         return POLICIES.get(name)
     except ValueError as exc:
         raise SystemExit(str(exc))
+
+
+def _open_log(path: str) -> JsonlSink:
+    try:
+        return JsonlSink(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot write event log {path}: {exc}")
 
 
 def _print_table(headers: Sequence[str], rows: Sequence[Sequence[object]]) -> None:
@@ -173,10 +195,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.events or args.metrics_out:
         telemetry = EventBus()
         if args.events:
-            try:
-                jsonl_sink = JsonlSink(args.events)
-            except OSError as exc:
-                raise SystemExit(f"cannot write event log {args.events}: {exc}")
+            jsonl_sink = _open_log(args.events)
             telemetry.attach(jsonl_sink)
         if args.metrics_out:
             metrics_sink = MetricsSink()
@@ -234,10 +253,7 @@ def _cmd_serve_up(args: argparse.Namespace) -> int:
     telemetry = None
     jsonl_sink = None
     if args.events:
-        try:
-            jsonl_sink = JsonlSink(args.events)
-        except OSError as exc:
-            raise SystemExit(f"cannot write event log {args.events}: {exc}")
+        jsonl_sink = _open_log(args.events)
         telemetry = EventBus([jsonl_sink])
     plane = ControlPlane(deployment, trace, seed=args.seed, telemetry=telemetry)
     fleet = plane.run(duration)
@@ -364,75 +380,75 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+def _replay_point(trace, engine, seed, telemetry, *, policy, n_tar, cold_start, k):
+    """One replay grid point.  Module-level (with the fixed arguments
+    bound via ``functools.partial``) so parallel grids can pickle it."""
+    config = ReplayConfig(n_tar=n_tar, cold_start=cold_start, k=k)
+    replayer = TraceReplayer(trace, config, seed=seed, telemetry=telemetry, engine=engine)
+    return replayer.run(POLICIES.get(policy)(trace.zone_ids))
+
+
 def _cmd_replay(args: argparse.Namespace) -> int:
     trace = _load_trace(args.trace)
     policies = _parse_axis(args.policies, str, "--policies")
-    factories = {name: _policy_factory(name) for name in policies}
-    if args.events and len(policies) != 1:
-        raise SystemExit(
-            "--events records one replay: select a single policy with "
-            "--policies (got " + ",".join(policies) + ")"
+    for name in policies:
+        _policy_factory(name)
+    axes = {
+        field: _replay_values(args, option)
+        for option, (field, _, _) in _REPLAY_OPTIONS.items()
+    }
+    # One value per axis: one point per policy, printed as the §5.2 table.
+    per_policy = all(len(values) == 1 for values in axes.values())
+    grid = {"policy": policies, **axes}
+    workers = _workers(args)
+    telemetry = None
+    jsonl_sink = None
+    if args.events:
+        if len(policies) != 1 or not per_policy:
+            raise SystemExit(
+                "--events records one replay: select one policy and one value "
+                "of --target, --cold-start and --k"
+            )
+        jsonl_sink = _open_log(args.events)
+        telemetry = EventBus([jsonl_sink])
+        workers = 1  # the log is written in-process
+    try:
+        points = grid_sweep(
+            functools.partial(_replay_point, trace, args.engine, args.seed, telemetry),
+            grid,
+            raise_errors=True,
+            workers=workers,
+            telemetry=EventBus([_Progress()]) if args.progress else None,
         )
-    rows = []
-    raw_results = {}
-    for name, factory in factories.items():
-        telemetry = None
-        jsonl_sink = None
-        if args.events:
-            try:
-                jsonl_sink = JsonlSink(args.events)
-            except OSError as exc:
-                raise SystemExit(f"cannot write event log {args.events}: {exc}")
-            telemetry = EventBus([jsonl_sink])
-        replayer = TraceReplayer(
-            trace,
-            ReplayConfig(n_tar=args.target, k=args.k),
-            seed=args.seed,
-            telemetry=telemetry,
-            engine=args.engine,
-        )
-        result = replayer.run(factory(trace.zone_ids))
+    finally:
         if telemetry is not None:
             telemetry.close()
-        raw_results[name] = result
-        rows.append(
-            [
-                name,
-                f"{result.availability:.1%}",
-                f"{result.relative_cost:.1%}",
-                result.preemptions,
-            ]
-        )
-    print(f"trace {trace.name}: N_Tar={args.target}, k={args.k}, "
-          f"{trace.duration / 86400:.1f} days")
-    _print_table(["policy", "availability", "cost vs OD", "preemptions"], rows)
+    if per_policy:
+        n_tar, k = axes["n_tar"][0], axes["k"][0]
+        print(f"trace {trace.name}: N_Tar={n_tar}, k={k}, "
+              f"{trace.duration / 86400:.1f} days")
+        first, label = "policy", (lambda point: point.params["policy"])
+        metadata = {"trace": trace.name, "n_tar": n_tar, "k": k, "seed": args.seed}
+    else:
+        print(f"trace {trace.name}: {len(points)} points, seed={args.seed}")
+        first, label = "point", SweepPoint.label
+        metadata = {"trace": trace.name, "seed": args.seed, "grid": grid}
+    rows = [
+        [label(point), f"{point.result.availability:.1%}",
+         f"{point.result.relative_cost:.1%}", point.result.preemptions]
+        for point in points
+    ]
+    _print_table([first, "availability", "cost vs OD", "preemptions"], rows)
     if args.json:
-        store = ResultStore(metadata={"trace": trace.name, "n_tar": args.target,
-                                      "k": args.k, "seed": args.seed})
-        for name, result in raw_results.items():
-            store.add("replay", name, result)
+        store = ResultStore(metadata=metadata)
+        for point in points:
+            store.add("replay", label(point), point.result)
         store.save(args.json)
         print(f"\nwrote raw results to {args.json}")
-    if args.events and jsonl_sink is not None:
+    if jsonl_sink is not None:
         print(f"\nwrote {jsonl_sink.count} events to {args.events} "
               f"(report with: repro report {args.events})")
     return 0
-
-
-def _sweep_point(
-    trace: SpotTrace,
-    *,
-    policy: str = "SpotHedge",
-    n_tar: int = 4,
-    cold_start: float = 180.0,
-    k: float = 3.0,
-    seed: int = 0,
-):
-    """One replay grid point.  Module-level (with the fixed arguments
-    bound via ``functools.partial``) so parallel sweeps can pickle it."""
-    config = ReplayConfig(n_tar=n_tar, cold_start=cold_start, k=k)
-    replayer = TraceReplayer(trace, config, seed=seed)
-    return replayer.run(POLICIES.get(policy)(trace.zone_ids))
 
 
 class _Progress:
@@ -444,55 +460,35 @@ class _Progress:
 
 
 def _parse_axis(raw: str, cast: Callable, option: str) -> list:
+    """A comma-list option as its distinct values, in the given order."""
     try:
-        return [cast(v) for v in raw.split(",") if v != ""]
+        values = [cast(v) for v in raw.split(",") if v != ""]
     except ValueError:
         raise SystemExit(f"bad value list for {option}: {raw!r}")
+    if not values:
+        raise SystemExit(f"{option} needs at least one value")
+    return list(dict.fromkeys(values))
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    trace = _load_trace(args.trace)
-    policies = _parse_axis(args.policies, str, "--policies")
-    for name in policies:
-        _policy_factory(name)
-    grid = {
-        "policy": policies,
-        "n_tar": _parse_axis(args.n_tar, int, "--n-tar"),
-        "cold_start": _parse_axis(args.cold_start, float, "--cold-start"),
-        "k": _parse_axis(args.k, float, "--k"),
-    }
-    telemetry = EventBus([_Progress()]) if args.progress else None
-    import functools
+def _replay_values(args: argparse.Namespace, option: str) -> list:
+    """The values of one of ``_REPLAY_OPTIONS``, each checked by
+    ``ReplayConfig`` itself, so a bad one exits naming ``option``."""
+    field, cast, _ = _REPLAY_OPTIONS[option]
+    # str(): an option left unset holds ReplayConfig's value, not text.
+    raw = str(getattr(args, option[2:].replace("-", "_")))
+    values = _parse_axis(raw, cast, option)
+    for value in values:
+        try:
+            ReplayConfig(**{field: value})
+        except ValueError as exc:
+            raise SystemExit(f"bad value for {option}: {value!r} ({exc})")
+    return values
 
-    points = grid_sweep(
-        functools.partial(_sweep_point, trace, seed=args.seed),
-        grid,
-        workers=args.workers,
-        telemetry=telemetry,
-    )
-    rows = []
-    for point in points:
-        if point.ok:
-            r = point.result
-            rows.append(
-                [point.label(), f"{r.availability:.1%}", f"{r.relative_cost:.1%}",
-                 r.preemptions]
-            )
-        else:
-            rows.append([point.label(), "error", point.error, "-"])
-    print(f"trace {trace.name}: {len(points)} points, seed={args.seed}, "
-          f"workers={args.workers}")
-    _print_table(["point", "availability", "cost vs OD", "preemptions"], rows)
-    if args.json:
-        store = ResultStore(
-            metadata={"trace": trace.name, "seed": args.seed, "grid": grid}
-        )
-        for point in points:
-            payload = point.result if point.ok else {"error": point.error}
-            store.add("sweep", point.label(), payload)
-        store.save(args.json)
-        print(f"wrote raw results to {args.json}")
-    return 0
+
+def _workers(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise SystemExit(f"--workers must be >= 1, got {args.workers}")
+    return args.workers
 
 
 def _cmd_hetero_frontier(args: argparse.Namespace) -> int:
@@ -503,13 +499,14 @@ def _cmd_hetero_frontier(args: argparse.Namespace) -> int:
                 raise SystemExit(
                     f"unknown fleet {name!r}: expected one of {list(FLEETS)}"
                 )
+    _replay_values(args, "--target")  # exits on a bad N_Tar
     duration = args.duration * HOUR if args.duration is not None else None
     points = run_frontier(
         fleets,
         n_tar=args.target,
         seed=args.seed,
         duration=duration,
-        workers=args.workers,
+        workers=_workers(args),
     )
     pareto = pareto_fleets(points)
     rows = []
@@ -674,7 +671,11 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
     except (ValueError, FileNotFoundError) as exc:
         raise SystemExit(str(exc))
     policies = _parse_axis(args.policies, str, "--policies")
-    config = ReplayConfig(n_tar=args.target, cold_start=args.cold_start, k=args.k)
+    config = ReplayConfig(**{
+        field: _replay_values(args, option)[0]
+        for option, (field, _, _) in _REPLAY_OPTIONS.items()
+    })
+    workers = _workers(args)
     telemetry = EventBus([_Progress()]) if args.progress else None
     try:
         scorecard = run_matrix(
@@ -683,7 +684,7 @@ def _cmd_chaos_run(args: argparse.Namespace) -> int:
             policies,
             config=config,
             seed=args.seed,
-            workers=args.workers,
+            workers=workers,
             telemetry=telemetry,
         )
     except ValueError as exc:
@@ -726,6 +727,19 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 # Parser
 # ----------------------------------------------------------------------
+
+
+def _add_replay_options(parser: argparse.ArgumentParser, *, grid: bool) -> None:
+    """``_REPLAY_OPTIONS`` with ``ReplayConfig``'s defaults; with ``grid``
+    each takes a comma list, one grid axis."""
+    defaults = ReplayConfig()
+    for option, (field, cast, what) in _REPLAY_OPTIONS.items():
+        parser.add_argument(
+            option,
+            type=None if grid else cast,
+            default=getattr(defaults, field),
+            help=what + (", comma list" if grid else "") + " (default: %(default)s)",
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -798,50 +812,27 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--json", help="also write raw results to this JSON file")
     compare.set_defaults(func=_cmd_compare)
 
-    replay = sub.add_parser("replay", help="replay SS5.2 policies over a trace")
-    replay.add_argument("--trace", default="gcp1")
-    replay.add_argument("--target", type=int, default=4, help="N_Tar")
-    replay.add_argument("--k", type=float, default=4.0,
-                        help="on-demand/spot price ratio")
-    replay.add_argument("--seed", type=int, default=0)
+    replay = sub.add_parser(
+        "replay", help="replay SS5.2 policies over a trace, one point or a grid")
+    replay.add_argument("--trace", default="gcp1", help="canned name or trace file")
     replay.add_argument("--policies", default=_REPLAY_DEFAULT,
                         help="comma list of serving policies "
                              f"({','.join(POLICIES.names())})")
+    _add_replay_options(replay, grid=True)
+    replay.add_argument("--seed", type=int, default=0)
+    replay.add_argument("--workers", type=int, default=1,
+                        help="process-pool size; output is identical for any value")
+    replay.add_argument("--progress", action="store_true",
+                        help="print per-point progress to stderr")
     replay.add_argument("--events",
                         help="write telemetry events to this JSONL file "
-                             "(single policy only)")
+                             "(one point only)")
     replay.add_argument("--json", help="also write raw results to this JSON file")
     replay.add_argument("--engine", choices=ENGINES, default="hybrid",
                         help="replay engine; hybrid fast-forwards the steps "
                              "it can prove repeat, discrete steps through every "
                              "one, with byte-identical results (default: hybrid)")
     replay.set_defaults(func=_cmd_replay)
-
-    sweep = sub.add_parser(
-        "sweep",
-        help="grid-sweep replay policies over a trace (parallel)",
-    )
-    sweep.add_argument("--trace", default="gcp1", help="canned name or trace file")
-    sweep.add_argument("--policies", default="SpotHedge",
-                       help="comma list of serving policies "
-                            f"({','.join(POLICIES.names())})")
-    sweep.add_argument("--n-tar", default="4", help="comma list of N_Tar values")
-    sweep.add_argument("--cold-start", default="180",
-                       help="comma list of cold-start seconds")
-    sweep.add_argument("--k", default="3.0",
-                       help="comma list of on-demand/spot price ratios")
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("REPRO_SWEEP_WORKERS", "1")),
-        help="process-pool size; results are identical for any value "
-             "(default: $REPRO_SWEEP_WORKERS or 1)",
-    )
-    sweep.add_argument("--progress", action="store_true",
-                       help="print per-point progress to stderr")
-    sweep.add_argument("--json", help="also write raw results to this JSON file")
-    sweep.set_defaults(func=_cmd_sweep)
 
     hetero = sub.add_parser(
         "hetero", help="heterogeneous GPU fleet experiments"
@@ -856,12 +847,14 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help=f"comma-separated fleet names (default: all of {list(FLEETS)})",
     )
-    frontier.add_argument("--target", type=int, default=4,
-                          help="N_Tar in reference-replica units (default 4)")
+    frontier.add_argument("--target", type=int, default=ReplayConfig().n_tar,
+                          help="N_Tar in reference-replica units "
+                               "(default: %(default)s)")
     frontier.add_argument("--seed", type=int, default=0)
     frontier.add_argument("--duration", type=float, default=None,
                           help="window the base trace to this many hours")
-    frontier.add_argument("--workers", type=int, default=1)
+    frontier.add_argument("--workers", type=int, default=1,
+                          help="process-pool size; output is identical for any value")
     frontier.add_argument("--json", help="write the byte-stable frontier JSON here")
     frontier.set_defaults(func=_cmd_hetero_frontier)
 
@@ -918,19 +911,10 @@ def build_parser() -> argparse.ArgumentParser:
     chaos_run.add_argument("--policies", default="SpotHedge,EvenSpread",
                            help="comma list of serving policies "
                                 f"({','.join(POLICIES.names())})")
-    chaos_run.add_argument("--target", type=int, default=4, help="N_Tar")
-    chaos_run.add_argument("--cold-start", type=float, default=180.0,
-                           help="cold-start seconds")
-    chaos_run.add_argument("--k", type=float, default=3.0,
-                           help="on-demand/spot price ratio")
+    _add_replay_options(chaos_run, grid=False)
     chaos_run.add_argument("--seed", type=int, default=0)
-    chaos_run.add_argument(
-        "--workers",
-        type=int,
-        default=int(os.environ.get("REPRO_SWEEP_WORKERS", "1")),
-        help="process-pool size; results are identical for any value "
-             "(default: $REPRO_SWEEP_WORKERS or 1)",
-    )
+    chaos_run.add_argument("--workers", type=int, default=1,
+                           help="process-pool size; output is identical for any value")
     chaos_run.add_argument("--progress", action="store_true",
                            help="print per-point progress to stderr")
     chaos_run.add_argument("--out", help="write the scorecard JSON here")

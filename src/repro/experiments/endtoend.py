@@ -230,23 +230,14 @@ def run_comparison(
     seed: int = 0,
     fixed_target: int = 4,
     request_timeout: float = 100.0,
-    workers: int = 1,
 ) -> dict[str, EndToEndResult]:
-    """Run all four systems on the same trace and workload (Fig. 9/13).
-
-    The systems are independent simulations over the shared trace, so
-    ``workers > 1`` runs them on a process pool; each system's
-    simulation is seeded identically either way, and the result mapping
-    keeps the fixed system order, so output does not depend on
-    ``workers``.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    """Run all four systems on the same trace and workload (Fig. 9/13),
+    each seeded identically, in the fixed system order."""
     trace = e2e_trace(scenario, seed=seed, duration=duration)
     policies = standard_policies(trace, accelerator=accelerator)
     from repro.serving.spec import DomainFilter
 
-    jobs: list[tuple[str, ServingPolicy, ServiceSpec]] = []
+    results: dict[str, EndToEndResult] = {}
     for name, policy in policies.items():
         if name == "SkyServe":
             any_of = tuple(
@@ -262,35 +253,7 @@ def run_comparison(
             resources=ResourceSpec(accelerator=accelerator, any_of=any_of),
             request_timeout=request_timeout,
         )
-        jobs.append((name, policy, spec))
-
-    results: dict[str, EndToEndResult] = {}
-    if workers == 1:
-        for name, policy, spec in jobs:
-            results[name] = run_system(
-                policy, trace, workload, duration, spec=spec, profile=profile, seed=seed
-            )
-        return results
-
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        futures = [
-            (
-                name,
-                pool.submit(
-                    run_system,
-                    policy,
-                    trace,
-                    workload,
-                    duration,
-                    spec=spec,
-                    profile=profile,
-                    seed=seed,
-                ),
-            )
-            for name, policy, spec in jobs
-        ]
-        for name, future in futures:
-            results[name] = future.result()
+        results[name] = run_system(
+            policy, trace, workload, duration, spec=spec, profile=profile, seed=seed
+        )
     return results

@@ -9,19 +9,19 @@ ordering, error isolation, and tidy records ready for a
 Grid points are independent experiments, so the sweep parallelises
 trivially: ``workers=N`` fans points out over a
 ``concurrent.futures.ProcessPoolExecutor`` while preserving the exact
-serial semantics — point order, per-point derived seeds, and error
-capture are all independent of ``N`` (see the module tests, which
-assert ``workers=4`` output equals ``workers=1`` byte for byte).
+serial semantics — point order and error capture are independent of
+``N`` (see the module tests, which assert ``workers=4`` output equals
+``workers=1`` byte for byte).
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Optional, Sequence
 
-from repro.sim.rng import derive_seed
 from repro.telemetry.clock import wall_monotonic
 from repro.telemetry.events import NULL_BUS, EventBus, SweepProgress
 
@@ -45,38 +45,15 @@ class SweepPoint:
         return ",".join(f"{k}={v}" for k, v in self.params.items())
 
 
-def _expand_grid(
-    grid: Mapping[str, Sequence[Any]],
-    root_seed: Optional[int],
-    seed_param: str,
-) -> list[dict[str, Any]]:
-    """All parameter combinations, in deterministic grid order.
-
-    With ``root_seed`` set, each combination additionally gets an
-    independent ``seed_param`` value derived from the root seed and the
-    point's label — the same keyed-stream scheme
-    :class:`~repro.sim.rng.RngRegistry` uses, so per-point streams are
-    uncorrelated and stable under grid reordering.
-    """
+def _expand_grid(grid: Mapping[str, Sequence[Any]]) -> list[dict[str, Any]]:
+    """All parameter combinations, in deterministic grid order."""
     if not grid:
         raise ValueError("empty parameter grid")
     for name, values in grid.items():
         if len(values) == 0:
             raise ValueError(f"parameter {name!r} has no values")
-    if root_seed is not None and seed_param in grid:
-        raise ValueError(
-            f"seed parameter {seed_param!r} is already a grid axis; "
-            "drop root_seed or rename seed_param"
-        )
     names = list(grid)
-    combos = []
-    for combo in itertools.product(*(grid[name] for name in names)):
-        params = dict(zip(names, combo))
-        if root_seed is not None:
-            label = ",".join(f"{k}={v}" for k, v in params.items())
-            params[seed_param] = derive_seed(root_seed, label)
-        combos.append(params)
-    return combos
+    return [dict(zip(names, combo)) for combo in itertools.product(*grid.values())]
 
 
 def _run_point(
@@ -98,8 +75,6 @@ def grid_sweep(
     *,
     raise_errors: bool = False,
     workers: int = 1,
-    root_seed: Optional[int] = None,
-    seed_param: str = "seed",
     telemetry: Optional[EventBus] = None,
 ) -> list[SweepPoint]:
     """Run ``run(**params)`` for every combination in ``grid``.
@@ -110,17 +85,15 @@ def grid_sweep(
     ``result`` None) instead of aborting the sweep; set
     ``raise_errors=True`` to fail fast.
 
-    ``workers > 1`` runs points on a process pool.  Results, ordering,
-    errors, and derived seeds are identical to the serial sweep for any
-    ``N`` (``workers=1`` never spawns a process and keeps today's
-    in-process behaviour exactly); ``run``, its parameters, and its
-    results must be picklable on the parallel path.  With
-    ``raise_errors=True`` the exception surfaced is the one from the
-    earliest failing point in grid order, as in serial mode.
+    ``workers > 1`` runs points on a process pool.  Results, ordering
+    and errors are identical to the serial sweep for any ``N``
+    (``workers=1`` never spawns a process and runs every point
+    in-process); ``run``, its parameters, and its results must be
+    picklable on the parallel path.  With ``raise_errors=True`` the
+    exception surfaced is the one from the earliest failing point in
+    grid order, as in serial mode.
 
-    ``root_seed`` derives an independent per-point seed (passed as
-    keyword ``seed_param``) via the registry's keyed-hash scheme, so a
-    multi-seed figure sweep is one call.  ``telemetry`` receives one
+    ``telemetry`` receives one
     :class:`~repro.telemetry.events.SweepProgress` event per completed
     point, in point order, timestamped with wall-clock
     :func:`repro.telemetry.clock.wall_monotonic` (progress is an
@@ -129,33 +102,21 @@ def grid_sweep(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     bus = telemetry if telemetry is not None else NULL_BUS
-    combos = _expand_grid(grid, root_seed, seed_param)
+    combos = _expand_grid(grid)
     total = len(combos)
     points: list[SweepPoint] = []
-
-    if workers == 1:
-        for index, params in enumerate(combos):
-            result, error = _run_point(run, params, not raise_errors)
-            point = SweepPoint(params=params, result=result, error=error)
-            points.append(point)
-            if bus.enabled:
-                bus.emit(
-                    SweepProgress(
-                        wall_monotonic(), index, total, point.label(), point.ok
-                    )
-                )
-        return points
-
-    with ProcessPoolExecutor(max_workers=min(workers, total)) as pool:
-        futures: list[Future] = [
-            pool.submit(_run_point, run, params, not raise_errors)
-            for params in combos
-        ]
-        # Collect in submission order: output order (and, with
-        # raise_errors, which failure surfaces) never depends on
-        # completion order.
-        for index, (params, future) in enumerate(zip(combos, futures)):
-            result, error = future.result()  # re-raises under raise_errors
+    capture = not raise_errors
+    pool = ProcessPoolExecutor(min(workers, total)) if workers > 1 else nullcontext()
+    with pool as executor:
+        if executor is None:
+            outcomes = (_run_point(run, p, capture) for p in combos)
+        else:
+            # Collect in submission order: output order (and, with
+            # raise_errors, which failure surfaces) never depends on
+            # completion order.
+            futures = [executor.submit(_run_point, run, p, capture) for p in combos]
+            outcomes = (future.result() for future in futures)
+        for index, (params, (result, error)) in enumerate(zip(combos, outcomes)):
             point = SweepPoint(params=params, result=result, error=error)
             points.append(point)
             if bus.enabled:

@@ -11,8 +11,8 @@ registering itself, with no edits to this repository.
 
 Four registries ship:
 
-* :data:`POLICIES` — serving policies keyed by the names the replay,
-  sweep, report and chaos CLI flags, :func:`~repro.chaos.run_matrix`
+* :data:`POLICIES` — serving policies keyed by the names the
+  ``replay`` and ``chaos run`` CLI flags, :func:`~repro.chaos.run_matrix`
   and a deployment's tenant ``policy`` accept (``factory(zones,
   replica_policy=None) -> ServingPolicy``; ``replica_policy`` is the
   service's :class:`~repro.serving.spec.ReplicaPolicyConfig`, ``None``

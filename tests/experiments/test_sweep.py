@@ -1,5 +1,7 @@
 """Tests for the parameter-sweep utility."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,6 @@ from repro.experiments import (
     grid_sweep,
     replay_result_to_dict,
 )
-from repro.sim.rng import derive_seed
 from repro.telemetry import EventBus, RingBufferSink
 
 ZONES = ["aws:r1:a", "aws:r1:b"]
@@ -101,13 +102,14 @@ class TestGridSweep:
 
 
 class TestParallelSweep:
-    """workers=N must be indistinguishable from workers=1 (ISSUE PR 2)."""
+    """workers=N must be indistinguishable from workers=1."""
 
     GRID = {"n_tar": [2, 3, 4], "cold_start": [0.0, 120.0]}
 
     def test_parallel_identical_to_serial_on_replay_grid(self):
-        serial = grid_sweep(_replay_point, self.GRID, workers=1, root_seed=11)
-        parallel = grid_sweep(_replay_point, self.GRID, workers=4, root_seed=11)
+        run = functools.partial(_replay_point, seed=11)
+        serial = grid_sweep(run, self.GRID, workers=1)
+        parallel = grid_sweep(run, self.GRID, workers=4)
         assert [p.params for p in serial] == [p.params for p in parallel]
         assert [p.result for p in serial] == [p.result for p in parallel]
         assert [p.error for p in serial] == [p.error for p in parallel]
@@ -126,42 +128,21 @@ class TestParallelSweep:
         with pytest.raises(RuntimeError, match="boom at n_tar=3"):
             grid_sweep(_replay_or_boom, self.GRID, workers=3, raise_errors=True)
 
+    def test_serial_sweep_starts_no_process(self, monkeypatch):
+        import repro.experiments.sweep as sweep
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("workers=1 started a process pool")
+
+        monkeypatch.setattr(sweep, "ProcessPoolExecutor", no_pool)
+        points = grid_sweep(_replay_point, self.GRID, workers=1)
+        assert all(p.ok for p in points)
+
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(ValueError):
             grid_sweep(lambda x: x, {"x": [1]}, workers=0)
         with pytest.raises(ValueError):
             grid_sweep(lambda x: x, {"x": [1]}, workers=-2)
-
-
-class TestSeedDerivation:
-    def test_root_seed_injects_derived_per_point_seed(self):
-        points = grid_sweep(
-            lambda a, seed: seed, {"a": [1, 2]}, root_seed=42
-        )
-        for point in points:
-            label = f"a={point.params['a']}"
-            expected = derive_seed(42, label)
-            assert point.params["seed"] == expected
-            assert point.result == expected
-
-    def test_custom_seed_param_name(self):
-        points = grid_sweep(
-            lambda a, rng_seed: rng_seed,
-            {"a": [5]},
-            root_seed=1,
-            seed_param="rng_seed",
-        )
-        assert points[0].params["rng_seed"] == derive_seed(1, "a=5")
-
-    def test_seed_param_conflicting_with_axis_rejected(self):
-        with pytest.raises(ValueError, match="seed"):
-            grid_sweep(
-                lambda seed: seed, {"seed": [1, 2]}, root_seed=3
-            )
-
-    def test_no_root_seed_leaves_params_untouched(self):
-        points = grid_sweep(lambda a: a, {"a": [1]})
-        assert set(points[0].params) == {"a"}
 
 
 class TestSweepTelemetry:

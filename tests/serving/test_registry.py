@@ -148,7 +148,8 @@ def _tiny_trace():
     [
         (lambda: main(["replay", "--trace", "aws1", "--policies", "SpotHedge,Nope"]),
          SystemExit),
-        (lambda: main(["sweep", "--trace", "aws1", "--policies", "Nope"]),
+        (lambda: main(["replay", "--trace", "aws1", "--target", "2,3",
+                       "--policies", "Nope"]),
          SystemExit),
         (lambda: main(["chaos", "run", "--trace", "aws1", "--policies", "Nope"]),
          SystemExit),

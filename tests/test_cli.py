@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.cloud import aws1
+from repro.experiments import ReplayConfig, TraceReplayer
 
 
 class TestParser:
@@ -28,6 +29,70 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["deploy"])
+
+    @pytest.mark.parametrize("command", [["replay"], ["chaos", "run"]])
+    def test_replay_defaults_are_replay_config(self, command):
+        args = build_parser().parse_args(command)
+        config = ReplayConfig()
+        assert (args.target, args.cold_start, args.k) == (
+            config.n_tar, config.cold_start, config.k
+        )
+
+    def test_sweep_command_removed(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["sweep"])
+
+
+def _refuse_replays(*args, **kwargs):
+    raise AssertionError("a replay ran despite bad input")
+
+
+REPLAY = ["replay", "--trace", "aws1"]
+CHAOS_RUN = ["chaos", "run", "--trace", "aws1"]
+FRONTIER = ["hetero", "frontier", "--duration", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,option",
+    [
+        (REPLAY + ["--target", "0"], "--target"),
+        (REPLAY + ["--target", "2,0"], "--target"),
+        (REPLAY + ["--target", ","], "--target"),
+        (REPLAY + ["--target", "two"], "--target"),
+        (REPLAY + ["--cold-start", "-1"], "--cold-start"),
+        (REPLAY + ["--k", "-1"], "--k"),
+        (REPLAY + ["--workers", "0"], "--workers"),
+        (REPLAY + ["--policies", ""], "--policies"),
+        (CHAOS_RUN + ["--target", "0"], "--target"),
+        (CHAOS_RUN + ["--k", "0"], "--k"),
+        (CHAOS_RUN + ["--workers", "0"], "--workers"),
+        (FRONTIER + ["--target", "0"], "--target"),
+        (FRONTIER + ["--workers", "0"], "--workers"),
+    ],
+)
+def test_bad_replay_input_exits_with_one_line(argv, option, monkeypatch):
+    """A bad replay parameter exits non-zero with one line naming the
+    option, before any replay runs."""
+    monkeypatch.setattr(TraceReplayer, "run", _refuse_replays)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    message = exc.value.code
+    assert isinstance(message, str)
+    assert option in message
+    assert "\n" not in message
+
+
+def _by_worker_count(axes, tmp_path, capsys):
+    """stdout and ``--json`` bytes of a replay under ``--workers`` 1 and 2."""
+    outputs = []
+    for workers in ("1", "2"):
+        path = tmp_path / f"w{workers}.json"
+        assert main(["replay", "--trace", "aws1", *axes,
+                     "--policies", "SpotHedge,EvenSpread",
+                     "--workers", workers, "--json", str(path)]) == 0
+        stdout = capsys.readouterr().out.replace(str(path), "<json>")
+        outputs.append((stdout, path.read_bytes()))
+    return outputs
 
 
 class TestReplayCommand:
@@ -54,6 +119,37 @@ class TestReplayCommand:
         main(["replay", "--trace", "aws1", "--target", "2"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_grid_points_equal_single_point_runs(self, tmp_path, capsys):
+        grid = tmp_path / "grid.json"
+        assert main(["replay", "--trace", "aws1", "--target", "2,3",
+                     "--policies", "SpotHedge,RoundRobin",
+                     "--json", str(grid)]) == 0
+        points = json.loads(grid.read_text())["experiments"]["replay"]
+        assert len(points) == 4
+        for n_tar in (2, 3):
+            for policy in ("SpotHedge", "RoundRobin"):
+                single = tmp_path / f"{policy}-{n_tar}.json"
+                assert main(["replay", "--trace", "aws1", "--target", str(n_tar),
+                             "--policies", policy, "--json", str(single)]) == 0
+                label = f"policy={policy},n_tar={n_tar},cold_start=180.0,k=3.0"
+                data = json.loads(single.read_text())["experiments"]["replay"]
+                assert points[label] == data[policy]
+
+    def test_output_identical_for_any_worker_count(self, tmp_path, capsys):
+        one, two = _by_worker_count(["--target", "2"], tmp_path, capsys)
+        assert one == two
+
+    @pytest.mark.parametrize("axes", [
+        ["--policies", "SpotHedge,RoundRobin"],
+        ["--policies", "SpotHedge", "--target", "2,3"],
+        ["--policies", "SpotHedge", "--k", "3,4"],
+    ])
+    def test_events_needs_one_point(self, axes, tmp_path):
+        log = tmp_path / "r.jsonl"
+        with pytest.raises(SystemExit, match="--events records one replay"):
+            main(["replay", "--trace", "aws1", *axes, "--events", str(log)])
+        assert not log.exists()
 
 
 class TestTraceCommand:
@@ -240,7 +336,6 @@ class TestReportCommand:
 
     def test_replay_log_report_byte_identical(self, tmp_path, capsys):
         from repro.core import spothedge
-        from repro.experiments import ReplayConfig, TraceReplayer
         from repro.telemetry import EventBus, RingBufferSink, build_report, read_events
 
         log = self._replay_with_events(tmp_path, capsys)
@@ -258,7 +353,7 @@ class TestReportCommand:
         trace = aws1()
         sink = RingBufferSink()
         TraceReplayer(
-            trace, ReplayConfig(n_tar=2, k=4.0), seed=0, telemetry=EventBus([sink])
+            trace, ReplayConfig(n_tar=2), seed=0, telemetry=EventBus([sink])
         ).run(spothedge(trace.zone_ids))
         from_log = build_report(read_events(log), label="x").to_json()
         assert from_log == build_report(sink.events, label="x").to_json()
@@ -277,44 +372,36 @@ class TestReportCommand:
 
 
 class TestSweepCommand:
+    """Sweeps: ``repro replay`` with more than one value on an axis."""
+
     def test_parser_defaults(self):
-        args = build_parser().parse_args(["sweep"])
+        args = build_parser().parse_args(["replay"])
         assert args.trace == "gcp1"
         assert args.workers == 1
-        assert args.policies == "SpotHedge"
-
-    def test_workers_default_from_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SWEEP_WORKERS", "4")
-        args = build_parser().parse_args(["sweep"])
-        assert args.workers == 4
+        assert args.policies == "SpotHedge,RoundRobin,EvenSpread,OnDemand"
 
     def test_no_cache_skips_cache(self, capsys):
-        assert main(["sweep", "--trace", "aws1", "--n-tar", "2"]) == 0
+        assert main(["replay", "--trace", "aws1", "--target", "2"]) == 0
         assert "cache" not in capsys.readouterr().out
 
-    def test_parallel_sweep_matches_serial_output(self, capsys):
-        argv = ["sweep", "--trace", "aws1", "--n-tar", "2,3"]
-        assert main(argv) == 0
-        serial = capsys.readouterr().out
-        assert main(argv + ["--workers", "2"]) == 0
-        parallel = capsys.readouterr().out
-        # Identical except for the reported worker count.
-        assert serial.replace("workers=1", "") == parallel.replace("workers=2", "")
+    def test_parallel_sweep_matches_serial_output(self, tmp_path, capsys):
+        one, two = _by_worker_count(["--target", "2,3"], tmp_path, capsys)
+        assert one == two
 
     def test_progress_written_to_stderr(self, capsys):
-        assert main(["sweep", "--trace", "aws1", "--n-tar", "2,3",
-                     "--progress"]) == 0
+        assert main(["replay", "--trace", "aws1", "--target", "2,3",
+                     "--policies", "SpotHedge", "--progress"]) == 0
         err = capsys.readouterr().err
         assert "[1/2]" in err
         assert "[2/2]" in err
         assert "ok" in err
 
     def test_json_export(self, tmp_path, capsys):
-        out_path = tmp_path / "sweep.json"
-        assert main(["sweep", "--trace", "aws1", "--n-tar", "2,3",
-                     "--json", str(out_path)]) == 0
+        out_path = tmp_path / "grid.json"
+        assert main(["replay", "--trace", "aws1", "--target", "2,3",
+                     "--policies", "SpotHedge", "--json", str(out_path)]) == 0
         data = json.loads(out_path.read_text())
-        labels = set(data["experiments"]["sweep"])
+        labels = set(data["experiments"]["replay"])
         assert labels == {
             "policy=SpotHedge,n_tar=2,cold_start=180.0,k=3.0",
             "policy=SpotHedge,n_tar=3,cold_start=180.0,k=3.0",
@@ -323,16 +410,16 @@ class TestSweepCommand:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(SystemExit):
-            main(["sweep", "--policies", "Nope"])
+            main(["replay", "--policies", "Nope"])
 
     def test_bad_axis_value_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["sweep", "--n-tar", "two"])
+        with pytest.raises(SystemExit, match="--target"):
+            main(["replay", "--target", "two"])
 
 
 class TestReplaysWriteNothing:
     def test_replay_front_ends_leave_home_untouched(self, tmp_path, monkeypatch, capsys):
-        """Sweeps, chaos matrices and the hetero frontier recompute every
+        """Replays, chaos matrices and the hetero frontier recompute every
         replay: none of them writes a result cache under $HOME or
         $REPRO_CACHE_DIR (or anywhere in the working directory)."""
         home = tmp_path / "home"
@@ -340,7 +427,7 @@ class TestReplaysWriteNothing:
         monkeypatch.setenv("HOME", str(home))
         monkeypatch.setenv("REPRO_CACHE_DIR", str(home / "cache"))
         monkeypatch.chdir(tmp_path)
-        assert main(["sweep", "--trace", "aws1", "--n-tar", "2"]) == 0
+        assert main(["replay", "--trace", "aws1", "--target", "2"]) == 0
         assert main(["chaos", "run", "--trace", "aws1",
                      "--policies", "SpotHedge"]) == 0
         assert main(["hetero", "frontier", "--duration", "1",
